@@ -70,7 +70,8 @@ stats-smoke:
 # Kill-resume smoke: SIGKILL a journaled corpus build mid-flight, resume
 # it, and require the resumed canonical corpus to be byte-identical to an
 # uninterrupted build's. `stats-check` gates the journal.* / supervise.*
-# counter invariants on the resumed run's snapshot.
+# counter invariants on the resumed run's snapshot. Then run the journal
+# suite pinned to one CPU, where the workers journal one after another.
 resume-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -91,6 +92,8 @@ resume-smoke:
     echo "--- clean uninterrupted build ---"
     "$bin" corpus --out "$dir/clean.json"
     cmp "$dir/resumed.json" "$dir/clean.json"
+    echo "--- journal suite on one CPU (one-worker record order) ---"
+    taskset -c 0 cargo test -q --test journal_resume
     echo "resume-smoke OK: resumed corpus is byte-identical to a clean build"
 
 # Lifecycle smoke: serve with a snapshot store, then replay the crash

@@ -7,8 +7,8 @@
 //! build.
 
 use cnnperf_core::{
-    build_corpus_robust_with, BuildMeta, BuildOptions, CellStatus, Journal, Replay, RobustConfig,
-    SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    build_corpus_robust_with, BuildMeta, BuildOptions, CellStatus, Journal, JournalRecord, Replay,
+    RobustConfig, SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
 };
 use gpu_sim::{ChaosProfile, DeviceSpec};
 use std::path::PathBuf;
@@ -51,6 +51,12 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Decode one segment line (`{checksum:016x} {json}`) into its record.
+fn decode_record(line: &str) -> JournalRecord {
+    let (_checksum, json) = line.split_once(' ').expect("checksum-prefixed line");
+    serde_json::from_str(json).expect("journal record")
+}
+
 fn build_journaled(
     dir: &std::path::Path,
     cfg: &RobustConfig,
@@ -77,15 +83,31 @@ fn resume_after_truncated_journal_matches_clean_build() {
             .expect("clean build");
 
     // full journaled build, then simulate a SIGKILL mid-build by
-    // truncating the segment to a record prefix (the journal is
-    // flush-per-append, so a killed build leaves exactly such a prefix)
+    // truncating the segment to a record prefix (every append is written,
+    // flushed and fsynced, so a killed build leaves exactly such a prefix).
+    // The cut is picked by record kind, not by line count: only a model's
+    // own `Model` record is promised to precede its cells, and records of
+    // different models interleave in the order their workers finish.
+    // Cutting just after the first `Cell` keeps one model fully journaled
+    // and leaves the other model's cell to recompute.
     let dir = fresh_dir("truncate");
     let _ = build_journaled(&dir, &cfg, false);
     let seg = dir.join("segment-00000.jsonl");
     let text = std::fs::read_to_string(&seg).expect("segment");
     let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 4, "expected meta+model+cell records");
-    let prefix: String = lines[..3].iter().map(|l| format!("{l}\n")).collect();
+    let is_cell: Vec<bool> = lines
+        .iter()
+        .map(|l| matches!(decode_record(l), JournalRecord::Cell { .. }))
+        .collect();
+    let cut = 1 + is_cell
+        .iter()
+        .position(|&c| c)
+        .expect("the kept prefix must hold a cell record");
+    assert!(
+        is_cell[cut..].contains(&true),
+        "the cut must leave a cell record out"
+    );
+    let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
     std::fs::write(&seg, prefix).expect("truncate");
 
     let before = obs::global().snapshot();
@@ -95,6 +117,10 @@ fn resume_after_truncated_journal_matches_clean_build() {
     assert!(
         after.counter_delta(&before, "journal.replayed") > 0,
         "resume must replay journaled cells"
+    );
+    assert!(
+        after.counter_delta(&before, "journal.computed") > 0,
+        "resume must recompute the cells cut from the journal"
     );
     assert_eq!(
         resumed.canonical_json(),
