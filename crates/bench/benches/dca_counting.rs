@@ -85,10 +85,21 @@ fn bench_plan_counting(c: &mut Criterion) {
     });
 }
 
+/// One interpreter count that decodes and slices the kernel first: what
+/// every count cost before kernels were prepared once per process.
+fn count_decoding_afresh(
+    kernel: &ptx::kernel::Kernel,
+    launch: &KernelLaunch,
+    budget: &ExecBudget,
+) -> ptx_analysis::LaunchCount {
+    let program = Arc::new(DenseProgram::decode(kernel));
+    count_launch_prepared(&program, Some(&branch_slice(kernel)), launch, budget).unwrap()
+}
+
 /// Per-count kernel decode vs a shared pre-decoded [`DenseProgram`]: the
-/// prepared path is what `count_plan` runs for every launch of a kernel
-/// after the first, and what the grid-rectangle re-runs inside one count
-/// always shared.
+/// prepared path is what every count runs once the kernel table holds the
+/// kernel, and what the grid-rectangle re-runs inside one count always
+/// shared.
 fn bench_decode_reuse(c: &mut Criterion) {
     let kernel = Template::GemmTiled.build();
     let launch = KernelLaunch {
@@ -105,7 +116,7 @@ fn bench_decode_reuse(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("counting/gemm_decode_reuse");
     group.bench_function("decode_per_count", |b| {
-        b.iter(|| black_box(count_launch(&kernel, &launch, true).unwrap()))
+        b.iter(|| black_box(count_decoding_afresh(&kernel, &launch, &budget)))
     });
     group.bench_function("shared_dense_program", |b| {
         b.iter(|| {
@@ -305,7 +316,7 @@ fn decode_reuse_json() -> String {
     let d0 = decodes();
     let t0 = std::time::Instant::now();
     for _ in 0..ITERS {
-        black_box(count_launch(&kernel, &launch, true).unwrap());
+        black_box(count_decoding_afresh(&kernel, &launch, &budget));
     }
     let per_count_s = t0.elapsed().as_secs_f64();
     let per_count_decodes = decodes() - d0;

@@ -14,12 +14,19 @@
 //! its clock *before* lowering, so the reported speedups compare symmetric
 //! end-to-end paths rather than flattering the estimation side.
 //!
+//! Both sides also start cold: the prepared-kernel table (and, for ours,
+//! the analysis cache) is cleared before each side's timing. Within its
+//! run the naive side still prepares each kernel once and reuses it
+//! across launches, as any simulator of a whole plan would; it never
+//! reuses a launch's simulation (no memo table).
+//!
 //! ```text
 //! cargo run --release -p cnnperf-bench --bin table4_speedup
 //! ```
 
 use cnnperf_bench::corpus_cached;
 use cnnperf_core::prelude::*;
+use cnnperf_core::{clear_analysis_cache, clear_kernel_table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let corpus = corpus_cached()?;
@@ -32,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut header: Vec<String> = vec!["CNN".into(), "t_p (s)".into()];
     header.extend((1..=7).map(|n| format!("naive n={n}")));
-    header.extend(["t_pm (ms)".to_string(), "t_dca (s)".to_string()]);
+    header.extend(["t_pm (ms)".to_string(), "t_dca (ms)".to_string()]);
     header.extend((1..=7).map(|n| format!("ours n={n}")));
     let headers: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(
@@ -47,9 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // naive: profile on the first device, scale per device (the paper
         // likewise reports one t_p per CNN and multiplies by n)
+        clear_kernel_table();
         let t_p = naive_profile_time(&model, &devices[0])?;
 
         // ours: one dynamic code analysis + n predictions
+        clear_kernel_table();
+        clear_analysis_cache();
         let outcome = rank_devices(&predictor, &model, devices)?;
 
         let mut row: Vec<String> = vec![name.to_string(), fixed(t_p, 2)];
@@ -57,9 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             row.push(fixed(t_p * n as f64, 1));
         }
         row.push(fixed(outcome.t_pm * 1e3, 3));
-        row.push(fixed(outcome.t_dca, 2));
+        row.push(fixed(outcome.t_dca * 1e3, 1));
         for n in 1..=7u32 {
-            row.push(fixed(outcome.t_dca + n as f64 * outcome.t_pm, 2));
+            row.push(fixed(outcome.t_dca + n as f64 * outcome.t_pm, 3));
         }
         table.row(row);
 

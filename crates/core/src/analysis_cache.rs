@@ -38,8 +38,10 @@ static CACHE_MISSES: obs::LazyCounter = obs::LazyCounter::new("analysis.cache.mi
 static CACHE_EVICTIONS: obs::LazyCounter = obs::LazyCounter::new("analysis.cache.evictions");
 
 /// Maximum cached analyses. Each entry holds a lowered plan plus counts
-/// (tens of kilobytes); 64 comfortably covers the 32-model zoo at two
-/// lowering targets.
+/// (tens of kilobytes). Keys are (model, sm target): 64 covers the 45
+/// zoo, variant and transformer models at one target, but not a sweep of
+/// them over all five targets of the device list (`sm_61`, `sm_70`,
+/// `sm_75`, `sm_80`, `sm_90`), which evicts.
 pub const ANALYSIS_CACHE_CAPACITY: usize = 64;
 
 /// The complete output of one model analysis: everything
@@ -186,7 +188,10 @@ pub fn peek_cached(model: &ModelGraph, target: &str) -> Option<Arc<AnalyzedModel
 }
 
 /// Drop every cached analysis (test isolation; traffic counters are not
-/// reset, preserving the `hits + misses == lookups` invariant).
+/// reset, preserving the `hits + misses == lookups` invariant). Kernels
+/// prepared for counting stay in ptx-analysis' table, so the next analysis
+/// measures a model new to a warm process; `clear_kernel_table` empties
+/// that too.
 pub fn clear_analysis_cache() {
     lock().map.clear();
 }

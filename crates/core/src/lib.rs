@@ -74,6 +74,7 @@ pub use pipeline::{
     build_paper_corpus_robust, BuildOptions, CellReport, CellStatus, Corpus, CorpusReport,
     RobustConfig, SampleMeta,
 };
+pub use ptx_analysis::clear_kernel_table;
 pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, Deadline};
 pub use scrub::{scrub_dir, scrub_path, Finding, FindingKind, Repair, ScrubOptions, ScrubReport};
 pub use server::{

@@ -17,9 +17,10 @@ use crate::specs::DeviceSpec;
 use crate::timing::{l2_hit_rate, timing_for, Timing};
 use ptx::inst::Category;
 use ptx::kernel::{Kernel, KernelLaunch};
-use ptx_analysis::{ExecBudget, ExecError, Machine};
+use ptx_analysis::{ExecBudget, ExecError, Machine, PreparedKernel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Launches entering the detailed simulator.
 static SIM_LAUNCHES: obs::LazyCounter = obs::LazyCounter::new("sim.launches");
@@ -67,25 +68,29 @@ pub const LAUNCH_OVERHEAD_US: f64 = 2.5;
 /// case dense layers tractable without changing the steady-state rate.
 const TRACE_CAP: usize = 262_144;
 
-/// Simulate one launch on `dev` in detail (unbounded budget).
+/// Simulate one launch on `dev` in detail (unbounded budget), with the
+/// kernel prepared through the process-wide table.
 pub fn simulate_launch(
     kernel: &Kernel,
     launch: &KernelLaunch,
     dev: &DeviceSpec,
 ) -> Result<LaunchSim, ExecError> {
-    simulate_launch_budgeted(kernel, launch, dev, &ExecBudget::default())
+    let prepared = ptx_analysis::prepare_kernel(kernel);
+    simulate_launch_budgeted(&prepared, launch, dev, &ExecBudget::default())
 }
 
-/// [`simulate_launch`] under an execution budget: the budget's step fuel
-/// and cancellation token bound both the representative-thread execution
-/// and — via [`SIM_CANCEL_CHECK_EVENTS`] — the event-driven cycle loop
-/// itself, so a deadline-driven caller can abort a runaway simulation.
+/// [`simulate_launch`] over a prepared kernel and under an execution
+/// budget: the budget's step fuel and cancellation token bound both the
+/// representative-thread execution and — via [`SIM_CANCEL_CHECK_EVENTS`] —
+/// the event-driven cycle loop itself, so a deadline-driven caller can
+/// abort a runaway simulation.
 pub fn simulate_launch_budgeted(
-    kernel: &Kernel,
+    prepared: &PreparedKernel,
     launch: &KernelLaunch,
     dev: &DeviceSpec,
     budget: &ExecBudget,
 ) -> Result<LaunchSim, ExecError> {
+    let kernel = prepared.kernel();
     let timing = timing_for(dev);
     let occ = occupancy(kernel, dev);
     if !occ.feasible() {
@@ -99,12 +104,22 @@ pub fn simulate_launch_budgeted(
         });
     }
     SIM_LAUNCHES.inc();
-    let machine = Machine::new(kernel, launch.blocks(), &launch.args).with_budget(budget.clone());
-    let (outcome, mut trace) = machine.run_traced(0, 0)?;
-    let _ = outcome;
+    let machine = Machine::from_program(
+        Arc::clone(prepared.program()),
+        launch.blocks(),
+        &launch.args,
+    )
+    .with_budget(budget.clone());
+    let (_, mut trace) = machine.run_traced(0, 0)?;
 
     // exact counts for reporting (cheap: interval splitting)
-    let counts = ptx_analysis::count_launch_budgeted(kernel, launch, true, budget)?;
+    let counts = ptx_analysis::count_prepared(
+        prepared,
+        launch,
+        true,
+        budget,
+        ptx_analysis::default_count_mode(),
+    )?;
 
     let trace_scale = if trace.len() > TRACE_CAP {
         let s = trace.len() as f64 / TRACE_CAP as f64;
@@ -431,7 +446,7 @@ mod tests {
         let l = launch(&k, 1 << 22, vec![1 << 22], 0, 0);
         let token = Arc::new(AtomicBool::new(true));
         let budget = ExecBudget::default().with_cancel(token);
-        match simulate_launch_budgeted(&k, &l, &dev, &budget) {
+        match simulate_launch_budgeted(&ptx_analysis::prepare_kernel(&k), &l, &dev, &budget) {
             Err(ExecError::Cancelled { step, .. }) => {
                 // observed within the documented bound: the representative
                 // execution checks at step 0, the wave loop within
@@ -454,7 +469,8 @@ mod tests {
         let l = launch(&k, 1 << 18, vec![200_000], 1 << 22, 1 << 20);
         let plain = simulate_launch(&k, &l, &dev).unwrap();
         let budget = ExecBudget::default().with_cancel(Arc::new(AtomicBool::new(false)));
-        let budgeted = simulate_launch_budgeted(&k, &l, &dev, &budget).unwrap();
+        let budgeted =
+            simulate_launch_budgeted(&ptx_analysis::prepare_kernel(&k), &l, &dev, &budget).unwrap();
         assert_eq!(plain.cycles, budgeted.cycles);
         assert_eq!(plain.warp_instructions, budgeted.warp_instructions);
     }
@@ -480,7 +496,12 @@ mod tests {
         let budget = ExecBudget::default().with_max_steps(SIM_CANCEL_CHECK_EVENTS);
         // representative execution fits in the fuel; the wave loop (many
         // warps x trace) does not
-        match simulate_launch_budgeted(&k, &l, &gtx_1080_ti(), &budget) {
+        match simulate_launch_budgeted(
+            &ptx_analysis::prepare_kernel(&k),
+            &l,
+            &gtx_1080_ti(),
+            &budget,
+        ) {
             Err(ExecError::StepLimit { .. }) => {}
             other => panic!("expected StepLimit, got {other:?}"),
         }

@@ -3,12 +3,11 @@
 
 use crate::detailed::{simulate_launch_budgeted, LaunchSim};
 use crate::specs::DeviceSpec;
-use parking_lot::Mutex;
 use ptx::kernel::{KernelLaunch, LaunchPlan};
-use ptx_analysis::{ExecBudget, ExecError};
+use ptx_analysis::{ExecBudget, ExecError, PreparedKernel};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Launch simulations answered from the per-plan memo table.
 static SIM_MEMO_HITS: obs::LazyCounter = obs::LazyCounter::new("sim.memo.hits");
@@ -80,22 +79,25 @@ impl Simulator {
         plan: &LaunchPlan,
         budget: &ExecBudget,
     ) -> Result<SimReport, ExecError> {
+        // every launched kernel comes from the process-wide table, resolved
+        // once per plan
+        let prepared = ptx_analysis::prepare_plan(plan);
         let sims: Vec<LaunchSim> = match self.mode {
-            SimMode::Detailed => self.run_memoized(plan, budget)?,
+            SimMode::Detailed => self.run_memoized(plan, &prepared, budget)?,
             SimMode::DetailedNoMemo => plan
                 .launches
                 .par_iter()
-                .map(|l| {
-                    simulate_launch_budgeted(&plan.module.kernels[l.kernel], l, &self.dev, budget)
-                })
+                .map(|l| simulate_launch_budgeted(kernel_of(&prepared, l), l, &self.dev, budget))
                 .collect::<Result<_, _>>()?,
             SimMode::Analytical => plan
                 .launches
                 .par_iter()
                 .map(|l| {
-                    let k = &plan.module.kernels[l.kernel];
-                    let counts = ptx_analysis::count_launch_budgeted(k, l, true, budget)?;
-                    let cycles = crate::analytical::estimate_launch(k, l, &counts, &self.dev)?;
+                    let k = kernel_of(&prepared, l);
+                    let mode = ptx_analysis::default_count_mode();
+                    let counts = ptx_analysis::count_prepared(k, l, true, budget, mode)?;
+                    let cycles =
+                        crate::analytical::estimate_launch(k.kernel(), l, &counts, &self.dev)?;
                     Ok(LaunchSim {
                         cycles,
                         warp_instructions: counts.warp_issues,
@@ -140,62 +142,48 @@ impl Simulator {
         })
     }
 
-    /// Detailed simulation with per-(kernel, grid, args) memoization —
-    /// repeated identical layers cost one simulation.
+    /// Detailed simulation memoized by launch shape: kernel, grid, argument
+    /// count, the arguments the kernel's branch slice reads, and the bytes
+    /// read and written. Those fix the representative thread's path and
+    /// every input of the wave model, so repeated layers cost one
+    /// simulation whatever buffer addresses they pass.
     fn run_memoized(
         &self,
         plan: &LaunchPlan,
+        prepared: &[Option<Arc<PreparedKernel>>],
         budget: &ExecBudget,
     ) -> Result<Vec<LaunchSim>, ExecError> {
-        type Key = (usize, u32, Vec<u64>, u64, u64);
-        let key_of = |l: &KernelLaunch| -> Key {
+        let (firsts, group_of) = ptx_analysis::group_launches(&plan.launches, |l| {
             (
                 l.kernel,
-                l.grid.0,
-                l.args.clone(),
+                l.grid,
+                l.args.len(),
+                kernel_of(prepared, l).read_args(&l.args),
                 l.bytes_read,
                 l.bytes_written,
             )
-        };
-        let mut keys: Vec<Key> = Vec::new();
-        let mut ids: Vec<usize> = Vec::with_capacity(plan.launches.len());
-        {
-            let mut index: HashMap<Key, usize> = HashMap::new();
-            for l in &plan.launches {
-                let key = key_of(l);
-                let id = *index.entry(key.clone()).or_insert_with(|| {
-                    keys.push(key);
-                    keys.len() - 1
-                });
-                ids.push(id);
-            }
-        }
-        SIM_MEMO_MISSES.add(keys.len() as u64);
-        SIM_MEMO_HITS.add((plan.launches.len() - keys.len()) as u64);
-        let cache: Mutex<HashMap<usize, LaunchSim>> = Mutex::new(HashMap::new());
-        keys.par_iter().enumerate().try_for_each(
-            |(id, (kidx, grid, args, br, bw))| -> Result<(), ExecError> {
-                let launch = KernelLaunch {
-                    kernel: *kidx,
-                    tag: String::new(),
-                    grid: (*grid, 1, 1),
-                    args: args.clone(),
-                    bytes_read: *br,
-                    bytes_written: *bw,
-                };
-                let sim = simulate_launch_budgeted(
-                    &plan.module.kernels[*kidx],
-                    &launch,
-                    &self.dev,
-                    budget,
-                )?;
-                cache.lock().insert(id, sim);
-                Ok(())
-            },
-        )?;
-        let cache = cache.into_inner();
-        Ok(ids.iter().map(|id| cache[id].clone()).collect())
+        });
+        SIM_MEMO_MISSES.add(firsts.len() as u64);
+        SIM_MEMO_HITS.add((plan.launches.len() - firsts.len()) as u64);
+        let sims: Vec<LaunchSim> = firsts
+            .par_iter()
+            .map(|&i| {
+                let l = &plan.launches[i];
+                simulate_launch_budgeted(kernel_of(prepared, l), l, &self.dev, budget)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(group_of.iter().map(|&g| sims[g].clone()).collect())
     }
+}
+
+/// The prepared kernel of launch `l`, from [`ptx_analysis::prepare_plan`].
+fn kernel_of<'a>(
+    prepared: &'a [Option<Arc<PreparedKernel>>],
+    l: &KernelLaunch,
+) -> &'a PreparedKernel {
+    prepared[l.kernel]
+        .as_deref()
+        .expect("prepare_plan covers every launched kernel")
 }
 
 #[cfg(test)]
@@ -233,7 +221,7 @@ mod tests {
             .simulate_plan(&plan)
             .unwrap();
         assert_eq!(a.warp_instructions, b.warp_instructions);
-        assert!((a.cycles - b.cycles).abs() < 1e-6 * a.cycles.max(1.0));
+        assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
     }
 
     #[test]

@@ -14,15 +14,19 @@
 //! * the [`crate::poly`] compiled trip-count polynomials (O(1) per
 //!   representative), proven bit-identical and used whenever a kernel
 //!   compiles (see [`CountMode`]).
+//!
+//! Both run on kernels from the process-wide [`crate::prepared`] table, so
+//! a kernel is decoded, sliced and compiled once however many plans and
+//! launches count it.
 
 use crate::exec::{Break, DenseProgram, ExecBudget, ExecError, Machine, ThreadOutcome, NCAT};
-use crate::poly::{compile_kernel, KernelPoly, PolyBail};
-use crate::slice::branch_slice;
+use crate::poly::{KernelPoly, PolyBail};
+use crate::prepared::{group_launches, prepare_kernel, prepare_plan, PreparedKernel};
 use ptx::kernel::{Kernel, KernelLaunch, LaunchPlan};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Warp width of every modeled GPU.
@@ -162,7 +166,10 @@ pub struct CountingReport {
     /// Unique launches whose poly evaluation deferred to the interpreter
     /// at evaluation time (range/overflow refusals).
     pub poly_eval_fallbacks: u32,
-    /// Unique `(kernel, grid, args)` signatures actually evaluated.
+    /// Distinct launch shapes actually evaluated: kernel, grid, argument
+    /// count and the arguments the kernel's branch slice reads (see
+    /// [`PreparedKernel::read_args`]), so launches differing only in buffer
+    /// addresses count once. `Bruteforce` keys on every argument instead.
     pub unique_launches: u32,
 }
 
@@ -218,7 +225,10 @@ pub fn count_launch_budgeted(
     count_launch_mode(kernel, launch, use_slice, budget, default_count_mode())
 }
 
-/// [`count_launch_budgeted`] with an explicit [`CountMode`].
+/// [`count_launch_budgeted`] with an explicit [`CountMode`]. The kernel is
+/// prepared through the process-wide table (decoded, sliced and compiled
+/// once per process), except in `Bruteforce` mode, the reference, which
+/// executes the kernel as given.
 pub fn count_launch_mode(
     kernel: &Kernel,
     launch: &KernelLaunch,
@@ -229,41 +239,65 @@ pub fn count_launch_mode(
     if mode == CountMode::Bruteforce {
         return count_launch_bruteforce(kernel, launch);
     }
-    let program = Arc::new(DenseProgram::decode(kernel));
-    let slice = use_slice.then(|| branch_slice(kernel));
+    count_prepared(&prepare_kernel(kernel), launch, use_slice, budget, mode)
+}
+
+/// [`count_launch_mode`] over a kernel already taken from the table, for
+/// callers that resolve a plan's kernels once and count many launches.
+pub fn count_prepared(
+    kernel: &PreparedKernel,
+    launch: &KernelLaunch,
+    use_slice: bool,
+    budget: &ExecBudget,
+    mode: CountMode,
+) -> Result<LaunchCount, ExecError> {
+    count_on(kernel, launch, use_slice, budget, mode, &AtomicU32::new(0))
+}
+
+/// The one counting path: poly tier first in `Auto`/`Poly`, the dense
+/// interpreter on a refusal (`Auto`) or in `Interp`. Evaluation-time poly
+/// refusals are added to `eval_fallbacks`.
+fn count_on(
+    kernel: &PreparedKernel,
+    launch: &KernelLaunch,
+    use_slice: bool,
+    budget: &ExecBudget,
+    mode: CountMode,
+    eval_fallbacks: &AtomicU32,
+) -> Result<LaunchCount, ExecError> {
+    let program = kernel.program();
+    let interp =
+        || count_launch_prepared(program, use_slice.then(|| kernel.slice()), launch, budget);
+    let unl = |reason: &str| ExecError::Unlaunchable {
+        kernel: program.kernel_name().to_string(),
+        reason: format!("poly: {reason}"),
+    };
     match mode {
-        CountMode::Interp => count_launch_prepared(&program, slice.as_ref(), launch, budget),
-        CountMode::Auto => match compile_kernel(&program, slice.as_ref()) {
-            Ok(kp) => match count_launch_poly_prepared(&kp, launch, budget) {
+        CountMode::Bruteforce => count_launch_bruteforce(kernel.kernel(), launch),
+        CountMode::Interp => interp(),
+        CountMode::Auto | CountMode::Poly => match kernel.poly(use_slice) {
+            Ok(kp) => match count_launch_poly_prepared(kp, launch, budget) {
                 Ok(lc) => Ok(lc),
                 Err(PolyBail::Exec(e)) => Err(e),
-                Err(PolyBail::Unsupported(_)) => {
+                Err(PolyBail::Unsupported(r)) => {
                     POLY_EVAL_FALLBACKS.inc();
-                    count_launch_prepared(&program, slice.as_ref(), launch, budget)
+                    eval_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    if mode == CountMode::Poly {
+                        Err(unl(r))
+                    } else {
+                        interp()
+                    }
                 }
             },
-            Err(_) => count_launch_prepared(&program, slice.as_ref(), launch, budget),
+            Err(r) if mode == CountMode::Poly => Err(unl(r)),
+            Err(_) => interp(),
         },
-        CountMode::Poly => {
-            let unl = |reason: &str| ExecError::Unlaunchable {
-                kernel: program.kernel_name().to_string(),
-                reason: format!("poly: {reason}"),
-            };
-            let kp = compile_kernel(&program, slice.as_ref()).map_err(&unl)?;
-            count_launch_poly_prepared(&kp, launch, budget).map_err(|e| match e {
-                PolyBail::Exec(e) => e,
-                PolyBail::Unsupported(r) => unl(r),
-            })
-        }
-        CountMode::Bruteforce => unreachable!("handled above"),
     }
 }
 
 /// [`count_launch_budgeted`] over an already-decoded kernel, always on
 /// the dense interpreter (the counting layer's `interp` tier). The
-/// grid-rectangle re-runs all execute the shared [`DenseProgram`];
-/// [`count_plan_budgeted`] uses this to decode (and slice) each kernel of a
-/// plan exactly once across all of its launches.
+/// grid-rectangle re-runs all execute the shared [`DenseProgram`].
 pub fn count_launch_prepared(
     program: &Arc<DenseProgram>,
     slice: Option<&HashSet<usize>>,
@@ -275,7 +309,7 @@ pub fn count_launch_prepared(
     let mut machine = Machine::from_program(Arc::clone(program), nblocks, &launch.args)
         .with_budget(budget.clone());
     if let Some(s) = slice {
-        machine = machine.with_slice(s.clone());
+        machine = machine.with_slice(s);
     }
     let run = |b: u64, t: u32| machine.run(b, t).map_err(RunErr::Exec);
     match count_launch_rects(run, program.kernel_name(), nblocks, ntid, budget) {
@@ -563,9 +597,9 @@ pub fn count_launch_bruteforce(
     })
 }
 
-/// Count a whole launch plan, in parallel over distinct `(kernel, args)`
-/// signatures (repeated layers hit the memo table). Uses the process-wide
-/// default [`CountMode`].
+/// Count a whole launch plan, in parallel over its distinct launch shapes
+/// (see [`CountingReport::unique_launches`]); launches of one shape share
+/// one count. Uses the process-wide default [`CountMode`].
 pub fn count_plan(plan: &LaunchPlan, use_slice: bool) -> Result<PlanCount, ExecError> {
     count_plan_budgeted(plan, use_slice, &ExecBudget::default())
 }
@@ -588,95 +622,37 @@ pub fn count_plan_report_budgeted(
     budget: &ExecBudget,
     mode: CountMode,
 ) -> Result<(PlanCount, CountingReport), ExecError> {
-    // memoize by (kernel index, grid, args)
-    type Key = (usize, u32, Vec<u64>);
-    let mut keys: Vec<Key> = Vec::new();
-    let mut key_of: Vec<usize> = Vec::with_capacity(plan.launches.len());
-    let mut index: HashMap<Key, usize> = HashMap::new();
-    for l in &plan.launches {
-        let key = (l.kernel, l.grid.0, l.args.clone());
-        let id = *index.entry(key.clone()).or_insert_with(|| {
-            keys.push(key);
-            keys.len() - 1
-        });
-        key_of.push(id);
-    }
+    let prepared = prepare_plan(plan);
+    let kernel_of = |l: &KernelLaunch| prepared[l.kernel].as_deref().expect("prepared above");
+    let (firsts, group_of) = group_launches(&plan.launches, |l| {
+        let read = if mode == CountMode::Bruteforce {
+            l.args.clone()
+        } else {
+            kernel_of(l).read_args(&l.args)
+        };
+        (l.kernel, l.grid, l.args.len(), read)
+    });
 
-    struct Prep {
-        program: Arc<DenseProgram>,
-        slice: Option<HashSet<usize>>,
-        /// `None` when the mode never consults the poly tier.
-        poly: Option<Result<KernelPoly, &'static str>>,
-    }
+    let kernels: Vec<&PreparedKernel> = prepared.iter().flatten().map(|k| &**k).collect();
+    // compile every referenced kernel before the parallel counts (a no-op
+    // for kernels the table compiled before)
+    let polys: Vec<bool> = if matches!(mode, CountMode::Auto | CountMode::Poly) {
+        kernels.iter().map(|k| k.poly(use_slice).is_ok()).collect()
+    } else {
+        Vec::new()
+    };
+    let poly_compiled = polys.iter().filter(|ok| **ok).count() as u32;
+    let eval_fallbacks = AtomicU32::new(0);
 
-    // decode (and slice, and poly-compile) each referenced kernel exactly
-    // once; every unique launch of that kernel shares the prepared state
-    let mut prepared: HashMap<usize, Prep> = HashMap::new();
-    for (kidx, _, _) in &keys {
-        prepared.entry(*kidx).or_insert_with(|| {
-            let kernel = &plan.module.kernels[*kidx];
-            let program = Arc::new(DenseProgram::decode(kernel));
-            let slice = use_slice.then(|| branch_slice(kernel));
-            let poly = matches!(mode, CountMode::Auto | CountMode::Poly)
-                .then(|| compile_kernel(&program, slice.as_ref()));
-            Prep {
-                program,
-                slice,
-                poly,
-            }
-        });
-    }
-
-    let poly_compiled = prepared
-        .values()
-        .filter(|p| matches!(p.poly, Some(Ok(_))))
-        .count() as u32;
-    let poly_rejected = prepared
-        .values()
-        .filter(|p| matches!(p.poly, Some(Err(_))))
-        .count() as u32;
-    let eval_fallbacks = std::sync::atomic::AtomicU32::new(0);
-
-    let uniques: Result<Vec<LaunchCount>, ExecError> = keys
+    let uniques: Vec<LaunchCount> = firsts
         .par_iter()
-        .map(|(kidx, grid, args)| {
-            let launch = KernelLaunch {
-                kernel: *kidx,
-                tag: String::new(),
-                grid: (*grid, 1, 1),
-                args: args.clone(),
-                bytes_read: 0,
-                bytes_written: 0,
-            };
-            let prep = &prepared[kidx];
-            let unl = |reason: &str| ExecError::Unlaunchable {
-                kernel: prep.program.kernel_name().to_string(),
-                reason: format!("poly: {reason}"),
-            };
-            if mode == CountMode::Bruteforce {
-                return count_launch_bruteforce(&plan.module.kernels[*kidx], &launch);
-            }
-            match &prep.poly {
-                Some(Ok(kp)) => match count_launch_poly_prepared(kp, &launch, budget) {
-                    Ok(lc) => Ok(lc),
-                    Err(PolyBail::Exec(e)) => Err(e),
-                    Err(PolyBail::Unsupported(r)) => {
-                        POLY_EVAL_FALLBACKS.inc();
-                        eval_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        if mode == CountMode::Poly {
-                            return Err(unl(r));
-                        }
-                        count_launch_prepared(&prep.program, prep.slice.as_ref(), &launch, budget)
-                    }
-                },
-                Some(Err(r)) if mode == CountMode::Poly => Err(unl(r)),
-                _ => count_launch_prepared(&prep.program, prep.slice.as_ref(), &launch, budget),
-            }
+        .map(|&i| {
+            let l = &plan.launches[i];
+            count_on(kernel_of(l), l, use_slice, budget, mode, &eval_fallbacks)
         })
-        .collect();
-    let uniques = uniques?;
+        .collect::<Result<_, _>>()?;
 
-    let per_launch: Vec<LaunchCount> = key_of.iter().map(|&id| uniques[id].clone()).collect();
+    let per_launch: Vec<LaunchCount> = group_of.iter().map(|&g| uniques[g].clone()).collect();
     let mut thread_instructions = 0u64;
     let mut warp_issues = 0u64;
     let mut by_category = [0u64; NCAT];
@@ -689,11 +665,11 @@ pub fn count_plan_report_budgeted(
     }
     let report = CountingReport {
         mode,
-        kernels: prepared.len() as u32,
+        kernels: kernels.len() as u32,
         poly_compiled,
-        poly_rejected,
+        poly_rejected: polys.len() as u32 - poly_compiled,
         poly_eval_fallbacks: eval_fallbacks.into_inner(),
-        unique_launches: keys.len() as u32,
+        unique_launches: firsts.len() as u32,
     };
     Ok((
         PlanCount {
@@ -707,8 +683,8 @@ pub fn count_plan_report_budgeted(
 }
 
 /// [`count_plan_budgeted`] with an explicit [`CountMode`]. Each referenced
-/// kernel is decoded, sliced and poly-compiled exactly once; every unique
-/// launch of that kernel shares the prepared artifacts.
+/// kernel comes from the process-wide table of prepared kernels, so it is
+/// decoded, sliced and poly-compiled at most once per process.
 pub fn count_plan_mode_budgeted(
     plan: &LaunchPlan,
     use_slice: bool,
@@ -724,6 +700,7 @@ mod tests {
     use ptx::builder::KernelBuilder;
     use ptx::inst::Operand;
     use ptx::types::Type;
+    use std::collections::HashMap;
 
     fn guard_kernel(block: u32) -> Kernel {
         let mut kb = KernelBuilder::new("k", block);

@@ -641,7 +641,7 @@ impl Machine {
     /// Restrict value evaluation to the backward slice of branch predicates
     /// (the paper's `G_v*`). Counting is unaffected; only the interpreter
     /// work shrinks.
-    pub fn with_slice(mut self, slice: HashSet<usize>) -> Self {
+    pub fn with_slice(mut self, slice: &HashSet<usize>) -> Self {
         for (pc, flag) in self.evaluate.iter_mut().enumerate() {
             *flag = slice.contains(&pc);
         }

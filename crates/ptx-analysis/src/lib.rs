@@ -5,7 +5,9 @@
 //! the instructions needed to resolve branches (`G_v*`, [`slice`]), and
 //! execute only those to obtain the **exact number of executed PTX
 //! instructions** for any launch without hardware or a cycle-level
-//! simulator ([`exec`], [`count`]).
+//! simulator ([`exec`], [`count`]). Each kernel is decoded, sliced and
+//! compiled to trip-count polynomials ([`poly`]) once per process, in the
+//! table of [`prepared`] kernels that every counting path shares.
 //!
 //! ```
 //! let model = cnn_ir::zoo::build("alexnet").unwrap();
@@ -19,6 +21,7 @@ pub mod count;
 pub mod depgraph;
 pub mod exec;
 pub mod poly;
+pub mod prepared;
 pub mod slice;
 pub mod stats;
 
@@ -26,7 +29,7 @@ pub use cfg::Cfg;
 pub use count::{
     count_launch, count_launch_bruteforce, count_launch_budgeted, count_launch_mode,
     count_launch_poly_prepared, count_launch_prepared, count_plan, count_plan_budgeted,
-    count_plan_mode_budgeted, count_plan_report_budgeted, default_count_mode,
+    count_plan_mode_budgeted, count_plan_report_budgeted, count_prepared, default_count_mode,
     set_default_count_mode, CountMode, CountingReport, LaunchCount, PlanCount, WARP,
 };
 pub use depgraph::DepGraph;
@@ -35,5 +38,9 @@ pub use exec::{
     NCAT,
 };
 pub use poly::{compile_kernel, KernelPoly, PolyBail};
+pub use prepared::{
+    clear_kernel_table, group_launches, prepare_kernel, prepare_plan, PreparedKernel,
+    KERNEL_TABLE_CAPACITY,
+};
 pub use slice::{branch_slice, slice_fraction};
 pub use stats::{kernel_stats, KernelStats};

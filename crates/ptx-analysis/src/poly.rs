@@ -48,7 +48,7 @@ use crate::exec::{
     ThreadOutcome, Val, NCAT,
 };
 use ptx::types::{BinOp, CmpOp, Type, UnOp};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::mem::discriminant;
 
 /// Kernels submitted to the polynomial compiler.
@@ -71,6 +71,9 @@ const MAX_SYM_STEPS: u64 = 250_000;
 const MAX_NODES: usize = 4096;
 /// Max branch/loop nesting depth during compilation.
 const MAX_DEPTH: u32 = 64;
+/// Max symbolic states remembered at join points per kernel compile
+/// (each holds one cloned [`SEnv`]); past it, joins are simply not merged.
+const MAX_JOIN_STATES: usize = 512;
 
 /// Compile-time bail reason (the kernel falls back to the interpreter).
 type Bail = &'static str;
@@ -251,12 +254,25 @@ impl SLin {
     }
 }
 
-/// A symbolic value: affine, a concrete float, or opaque.
-#[derive(Debug, Clone, PartialEq)]
+/// A symbolic value: affine, a concrete float, or opaque. Equality
+/// compares floats by bit pattern (`0.0` and `-0.0` fold differently
+/// later, so they are different states).
+#[derive(Debug, Clone)]
 pub(crate) enum SVal {
     Lin(SLin),
     F32(f32),
     Unknown,
+}
+
+impl PartialEq for SVal {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (SVal::Lin(a), SVal::Lin(b)) => a == b,
+            (SVal::F32(a), SVal::F32(b)) => a.to_bits() == b.to_bits(),
+            (SVal::Unknown, SVal::Unknown) => true,
+            _ => false,
+        }
+    }
 }
 
 impl SVal {
@@ -275,7 +291,7 @@ impl SVal {
 /// A runtime-resolvable comparison `cmp(a, b)` over symbolic affine
 /// operands; evaluated per launch exactly like the interpreter's
 /// `setp_val` (including the type-aware wrap on constant differences).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CondExpr {
     cmp: CmpOp,
     t: Type,
@@ -284,7 +300,7 @@ pub(crate) struct CondExpr {
 }
 
 /// Symbolic predicate-register state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SPred {
     /// Truth known at compile time (same on every launch).
     truth: Option<bool>,
@@ -307,7 +323,7 @@ impl SPred {
 
 /// Symbolic machine state: value registers, their taint flags, and
 /// predicate registers.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct SEnv {
     regs: Vec<SVal>,
     taint: Vec<bool>,
@@ -1095,6 +1111,16 @@ struct Compiler<'a> {
     prog: &'a DenseProgram,
     /// Per-pc evaluation flags, mirroring `Machine::with_slice`.
     evaluate: Vec<bool>,
+    /// Per-pc (one past the end included): is this a forward-branch target,
+    /// where the arms of an earlier branch can meet again?
+    join: Vec<bool>,
+    /// Compiled suffixes by join pc: the symbolic state on arrival and the
+    /// head node of everything from there on. A later arrival in an equal
+    /// state links to that node instead of compiling the suffix again.
+    joined: HashMap<usize, Vec<(SEnv, u32)>>,
+    /// Join states held in `joined` plus those pending in open
+    /// [`Compiler::compile_from`] frames (bounded by [`MAX_JOIN_STATES`]).
+    join_states: usize,
     nodes: Vec<PNode>,
     sym_steps: u64,
 }
@@ -1310,16 +1336,42 @@ impl Compiler<'_> {
 
     /// Compile from `pc` with symbolic state `env`, returning the head
     /// node of the compiled suffix.
+    ///
+    /// Join points (forward-branch targets) cut the pending cost segment.
+    /// If an equal state reached the same join before, the segment links
+    /// to that compiled suffix and compilation stops; otherwise the state
+    /// is recorded once this suffix's head is known. The suffix from a
+    /// join depends on nothing but its pc and state, and a cut leaves
+    /// evaluation unchanged (each segment checks its parameter loads and
+    /// the step limit against the running count), so the arms of a branch
+    /// share one copy of the code after it instead of one copy each.
     fn compile_from(&mut self, mut pc: usize, mut env: SEnv, depth: u32) -> Result<u32, Bail> {
         if depth > MAX_DEPTH {
             return Err("nesting too deep");
         }
         let mut acc = CostAcc::new();
-        loop {
+        // segments cut at the joins passed: (cost before, join pc, state)
+        let mut pending: Vec<(CostAcc, usize, SEnv)> = Vec::new();
+        let mut head = loop {
+            if self.join[pc] {
+                let seen = self.joined.get(&pc).and_then(|states| {
+                    states
+                        .iter()
+                        .find(|(state, _)| *state == env)
+                        .map(|&(_, node)| node)
+                });
+                if let Some(node) = seen {
+                    break self.flush(acc, node)?;
+                }
+                if self.join_states < MAX_JOIN_STATES {
+                    self.join_states += 1;
+                    pending.push((std::mem::replace(&mut acc, CostAcc::new()), pc, env.clone()));
+                }
+            }
             self.tick()?;
             if pc >= self.prog.prog.len() {
                 let end = self.push(PNode::End)?;
-                return self.flush(acc, end);
+                break self.flush(acc, end)?;
             }
             let inst = self.prog.prog[pc].clone();
             acc.count += 1;
@@ -1343,7 +1395,7 @@ impl Compiler<'_> {
                         let neg = inst.guard.expect("cond guard").1;
                         if t <= pc {
                             let tail = self.close_loop(t, pc, neg, slot, &env, depth)?;
-                            return self.flush(acc, tail);
+                            break self.flush(acc, tail)?;
                         }
                         let cond = env.preds[slot as usize]
                             .as_ref()
@@ -1358,18 +1410,23 @@ impl Compiler<'_> {
                             taken,
                             fall,
                         })?;
-                        return self.flush(acc, b);
+                        break self.flush(acc, b)?;
                     }
                     _ => return Err("branch guard unresolvable"),
                 }
             }
             if matches!(inst.op, DOp::Ret) {
                 let end = self.push(PNode::End)?;
-                return self.flush(acc, end);
+                break self.flush(acc, end)?;
             }
             self.exec_inst(pc, &inst, &mut env, &mut acc, None)?;
             pc += 1;
+        };
+        for (acc, at, state) in pending.into_iter().rev() {
+            self.joined.entry(at).or_default().push((state, head));
+            head = self.flush(acc, head)?;
         }
+        Ok(head)
     }
 
     /// Symbolically execute one loop-body pass from `pc_h`, stopping at
@@ -1605,9 +1662,20 @@ pub fn compile_kernel(
         None => vec![true; program.len()],
         Some(s) => (0..program.len()).map(|pc| s.contains(&pc)).collect(),
     };
+    let mut join = vec![false; program.len() + 1];
+    for (pc, inst) in program.prog.iter().enumerate() {
+        if let DOp::Bra { target: Some(t) } = inst.op {
+            if t as usize > pc {
+                join[t as usize] = true;
+            }
+        }
+    }
     let mut c = Compiler {
         prog: program,
         evaluate,
+        join,
+        joined: HashMap::new(),
+        join_states: 0,
         nodes: Vec::new(),
         sym_steps: 0,
     };
@@ -1707,7 +1775,7 @@ mod tests {
         let slice = branch_slice(&k);
         let prog = Arc::new(DenseProgram::decode(&k));
         let kp = compile_kernel(&prog, Some(&slice)).expect("sliced guard compiles");
-        let m = Machine::from_program(prog.clone(), 4, &[700]).with_slice(slice);
+        let m = Machine::from_program(prog.clone(), 4, &[700]).with_slice(&slice);
         for ctaid in 0..4 {
             for &tid in &[0u32, 63, 255] {
                 assert_parity(&kp, &m, 4, ctaid, tid, &[700], u64::MAX);
@@ -1883,6 +1951,107 @@ mod tests {
                     assert_parity(&kp, &m, 4, ctaid, tid, &[n], u64::MAX);
                 }
             }
+        }
+    }
+
+    /// `k = 3; if (tid >= n) k = fall_k; for (i = 0; i < k; i++) ...`: a
+    /// tid-sloped branch whose arms meet before a loop over `k`.
+    fn join_kernel(fall_k: i64) -> Kernel {
+        let mut kb = KernelBuilder::new("join", 64);
+        let p_n = kb.param("n", Type::U32);
+        let n = kb.ld_param(&p_n, Type::U32);
+        let k = kb.r();
+        kb.mov(Type::U32, k, Operand::ImmI(3));
+        let tid = kb.special(SpecialReg::TidX);
+        let p = kb.p();
+        kb.setp(CmpOp::Lt, Type::U32, p, tid, n);
+        let join = kb.label();
+        kb.bra_if(p, false, join);
+        kb.mov(Type::U32, k, Operand::ImmI(fall_k));
+        kb.place_label(join);
+        kb.counted_loop(k, |kb, i| {
+            let x = kb.r();
+            kb.bin(BinOp::Add, Type::U32, x, i, Operand::ImmI(1));
+        });
+        kb.ret();
+        kb.finish()
+    }
+
+    #[test]
+    fn join_merges_equal_states_and_keeps_different_ones_apart() {
+        let same = join_kernel(3);
+        let differ = join_kernel(7);
+        let mut sizes = Vec::new();
+        for k in [&same, &differ] {
+            let prog = Arc::new(DenseProgram::decode(k));
+            let kp = compile_kernel(&prog, None).expect("join kernel compiles");
+            for &n in &[0u64, 10, 64] {
+                let m = Machine::from_program(prog.clone(), 2, &[n]);
+                for &tid in &[0u32, 9, 10, 63] {
+                    assert_parity(&kp, &m, 2, 1, tid, &[n], u64::MAX);
+                }
+            }
+            sizes.push(kp.node_count());
+        }
+        // equal states share the loop after the join; different ones each
+        // get their own copy
+        assert!(sizes[0] < sizes[1], "{sizes:?}");
+    }
+
+    #[test]
+    fn join_states_compare_floats_by_bits() {
+        // the arms leave 0.0 and -0.0 behind; `rcp` turns them into +inf
+        // and -inf, which a later compile-known branch tells apart, so the
+        // two join states must not merge
+        let mut kb = KernelBuilder::new("signed_zero", 64);
+        let p_n = kb.param("n", Type::U32);
+        let n = kb.ld_param(&p_n, Type::U32);
+        let f = kb.f();
+        kb.mov(Type::F32, f, Operand::ImmF(0.0));
+        let tid = kb.special(SpecialReg::TidX);
+        let p = kb.p();
+        kb.setp(CmpOp::Lt, Type::U32, p, tid, n);
+        let join = kb.label();
+        kb.bra_if(p, false, join);
+        kb.mov(Type::F32, f, Operand::ImmF(-0.0));
+        kb.place_label(join);
+        let g = kb.f();
+        kb.un(UnOp::Rcp, Type::F32, g, f);
+        let q = kb.p();
+        kb.setp(CmpOp::Gt, Type::F32, q, g, Operand::ImmF(0.0));
+        let end = kb.label();
+        kb.bra_if(q, false, end);
+        for _ in 0..5 {
+            let x = kb.f();
+            kb.mov(Type::F32, x, Operand::ImmF(1.0));
+        }
+        kb.place_label(end);
+        kb.ret();
+        let k = kb.finish();
+        let prog = Arc::new(DenseProgram::decode(&k));
+        let kp = compile_kernel(&prog, Some(&branch_slice(&k))).expect("compiles");
+        let m = Machine::from_program(prog.clone(), 1, &[32]).with_slice(&branch_slice(&k));
+        for &tid in &[0u32, 31, 32, 63] {
+            assert_parity(&kp, &m, 1, 0, tid, &[32], u64::MAX);
+        }
+    }
+
+    #[test]
+    fn every_template_compiles_to_a_compact_dag() {
+        // the softmax max/expsum kernels branch at each of their reduction
+        // phases; without join merging every phase doubled the suffix and
+        // each compiled to thousands of nodes
+        for t in ptx_codegen::Template::ALL {
+            let k = t.build();
+            let prog = DenseProgram::decode(&k);
+            let kp = compile_kernel(&prog, Some(&branch_slice(&k)))
+                .unwrap_or_else(|e| panic!("{}: {e}", t.name()));
+            assert!(
+                kp.node_count() <= 128,
+                "{}: {} nodes",
+                t.name(),
+                kp.node_count()
+            );
         }
     }
 

@@ -3,8 +3,10 @@
 use crate::types::{BinOp, CmpOp, Reg, Space, SpecialReg, Type, UnOp};
 use serde::{Deserialize, Serialize};
 
-/// An instruction operand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// An instruction operand. Equality and hashing compare float immediates
+/// by bit pattern, so `0.0` and `-0.0` differ and a NaN equals itself: two
+/// operands are equal exactly when they encode the same PTX text.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub enum Operand {
     Reg(Reg),
     /// Integer immediate (covers u32/s32/u64 encodings).
@@ -12,6 +14,32 @@ pub enum Operand {
     /// Floating-point immediate.
     ImmF(f32),
     Special(SpecialReg),
+}
+
+impl PartialEq for Operand {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Operand::Reg(a), Operand::Reg(b)) => a == b,
+            (Operand::ImmI(a), Operand::ImmI(b)) => a == b,
+            (Operand::ImmF(a), Operand::ImmF(b)) => a.to_bits() == b.to_bits(),
+            (Operand::Special(a), Operand::Special(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Operand {}
+
+impl std::hash::Hash for Operand {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Operand::Reg(r) => r.hash(state),
+            Operand::ImmI(v) => v.hash(state),
+            Operand::ImmF(v) => v.to_bits().hash(state),
+            Operand::Special(s) => s.hash(state),
+        }
+    }
 }
 
 impl From<Reg> for Operand {
@@ -31,13 +59,13 @@ impl Operand {
 
 /// A memory address: `[base + offset]` where base is a register, or a named
 /// kernel parameter `[name + offset]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AddrBase {
     Reg(Reg),
     Param(String),
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Address {
     pub base: AddrBase,
     pub offset: i64,
@@ -70,7 +98,7 @@ impl Address {
 pub type LabelId = u32;
 
 /// Instruction operation. Every variant maps to a real PTX opcode family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Op {
     /// `mov.<t> dst, src`
     Mov { t: Type, dst: Reg, src: Operand },
@@ -182,7 +210,7 @@ impl Category {
 }
 
 /// One instruction with an optional predicate guard (`@%p` / `@!%p`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Instruction {
     pub op: Op,
     /// `Some((p, negated))` executes only when `p == !negated`.
@@ -306,7 +334,7 @@ impl Instruction {
 }
 
 /// An element of a kernel body: either a label definition or an instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BodyElem {
     Label(LabelId),
     Inst(Instruction),
@@ -323,6 +351,23 @@ mod tests {
 
     fn f(i: u32) -> Reg {
         Reg::new(RegClass::F, i)
+    }
+
+    #[test]
+    fn float_immediates_compare_and_hash_by_bits() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |o: Operand| {
+            let mut h = DefaultHasher::new();
+            o.hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(Operand::ImmF(0.0), Operand::ImmF(-0.0));
+        assert_eq!(Operand::ImmF(f32::NAN), Operand::ImmF(f32::NAN));
+        assert_eq!(hash(Operand::ImmF(f32::NAN)), hash(Operand::ImmF(f32::NAN)));
+        assert_eq!(Operand::ImmF(1.5), Operand::ImmF(1.5));
+        assert_eq!(hash(Operand::ImmF(1.5)), hash(Operand::ImmF(1.5)));
+        assert_ne!(Operand::ImmI(0), Operand::ImmF(0.0));
     }
 
     #[test]

@@ -6,14 +6,15 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A kernel parameter (`.param` space).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct KernelParam {
     pub name: String,
     pub t: Type,
 }
 
-/// One `.entry` kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One `.entry` kernel. Equality and hashing are structural over the whole
+/// kernel (float immediates by bit pattern, see [`crate::inst::Operand`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Kernel {
     pub name: String,
     pub params: Vec<KernelParam>,

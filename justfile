@@ -81,7 +81,8 @@ resume-smoke:
     rm -rf "$dir" && mkdir -p "$dir"
     "$bin" corpus --journal-dir "$dir/journal" --out "$dir/interrupted.json" &
     pid=$!
-    sleep 5
+    # the whole build takes about 6 s on 2 vCPUs: kill well inside it
+    sleep 2
     kill -9 "$pid" 2>/dev/null || true
     wait "$pid" 2>/dev/null || true
     echo "--- resuming after SIGKILL ---"

@@ -289,12 +289,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // copy the plain run up to the next quote or backslash in
+                    // one step; both are ASCII, so the run ends on a UTF-8
+                    // boundary and is validated once
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
                 None => return Err(Error("unterminated string".into())),
             }
@@ -405,6 +411,44 @@ mod tests {
         assert_eq!(s, "[1.0,2.5]");
         let v: Vec<f64> = from_str(&s).unwrap();
         assert_eq!(v, vec![1.0, 2.5]);
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_escapes_roundtrips() {
+        for tag in [
+            "é\"ü",
+            "\\∑\n",
+            "日本\t語\\",
+            "\u{1F600}\"",
+            "\"\u{1F600}",
+            "ß",
+            "",
+        ] {
+            let p = Point {
+                x: 0.0,
+                y: 1,
+                tag: tag.into(),
+            };
+            let back: Point = from_str(&to_string(&p).unwrap()).unwrap();
+            assert_eq!(p, back, "{tag:?}");
+        }
+        // a \u escape right before and after multi-byte text
+        let v: String = from_str("\"\\u00e9é\\u00e9\"").unwrap();
+        assert_eq!(v, "ééé");
+    }
+
+    #[test]
+    fn long_multibyte_string_parses_whole() {
+        let tag: String = "añ∑😀\"\\".repeat(5_000);
+        let p = Point { x: 2.0, y: 3, tag };
+        let back: Point = from_str(&to_string(&p).unwrap()).unwrap();
+        assert_eq!(p, back);
+    }
+
+    #[test]
+    fn unterminated_string_is_an_error() {
+        assert!(from_str::<String>("\"abc é").is_err());
+        assert!(from_str::<String>("\"abc\\").is_err());
     }
 
     #[test]

@@ -98,9 +98,11 @@ fn counters_are_identical_across_two_fixed_runs() {
 
     let run = || {
         // memoization is deliberately cross-run state: start each run with a
-        // cold analysis cache so the determinism contract compares like with
-        // like (a warm second run would legitimately count hits, not misses)
+        // cold analysis cache and kernel table so the determinism contract
+        // compares like with like (a warm second run would legitimately
+        // count hits, not misses, and prepare no kernels)
         cnnperf_core::clear_analysis_cache();
+        ptx_analysis::clear_kernel_table();
         let before = obs::global().snapshot();
         let mut engine = ResilientEngine::new(quiet_config());
         let outcomes = engine.estimate_batch(&four_requests());
