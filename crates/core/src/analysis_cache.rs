@@ -16,11 +16,12 @@
 //! successful analyses are stored; failures propagate uncached.
 //!
 //! Traffic is observable via the `analysis.cache.{lookups,hits,misses,
-//! evictions}` counters, which satisfy `hits + misses == lookups` (checked
-//! by the CLI `stats-check` validator). The analysis itself runs *outside*
+//! evictions}` counters; their invariants live in
+//! [`crate::invariants::INVARIANTS`]. The analysis itself runs *outside*
 //! the cache lock: a slow DCA never blocks concurrent lookups of other
 //! models.
 
+use crate::cache::fnv1a;
 use crate::features::{profile_model_report, CnnProfile, ProfileError};
 use cnn_ir::{ModelGraph, ModelSummary};
 use ptx::kernel::LaunchPlan;
@@ -79,16 +80,6 @@ fn lock() -> std::sync::MutexGuard<'static, Inner> {
     // a panicked analysis thread cannot corrupt the map (inserts are
     // atomic), so a poisoned lock is safe to keep using
     cache().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// FNV-1a, mirroring the on-disk corpus cache's envelope hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Content hash of a model graph: FNV-1a over its canonical JSON

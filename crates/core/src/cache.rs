@@ -40,8 +40,10 @@ struct CacheEnvelope {
     corpus: Corpus,
 }
 
-/// FNV-1a, the same cheap-but-sensitive hash the fault injectors use.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a (64-bit): the checksum of every on-disk envelope, the model
+/// content hash and the scheduler's shard choice.
+#[inline]
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in bytes {
         h ^= *b as u64;
@@ -203,6 +205,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 
     #[test]

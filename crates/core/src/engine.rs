@@ -35,8 +35,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Requests entering the engine, shed ones included — the invariant
-/// `served + exhausted + overloaded == requests` holds per batch.
+/// Requests entering the engine, shed ones included. The `engine.*`
+/// invariants live in [`crate::invariants::INVARIANTS`].
 static ENGINE_REQUESTS: obs::LazyCounter = obs::LazyCounter::new("engine.requests");
 static ENGINE_SERVED: obs::LazyCounter = obs::LazyCounter::new("engine.outcome.served");
 static ENGINE_EXHAUSTED: obs::LazyCounter = obs::LazyCounter::new("engine.outcome.exhausted");
@@ -44,7 +44,7 @@ static ENGINE_OVERLOADED: obs::LazyCounter = obs::LazyCounter::new("engine.outco
 /// Requests shed at admission (same events as `engine.outcome.overloaded`,
 /// kept separate so load-shedding is greppable on its own).
 static ENGINE_SHED: obs::LazyCounter = obs::LazyCounter::new("engine.shed");
-/// Stale-cache tier traffic; `lookups == hits + misses`.
+/// Stale-cache tier traffic.
 static ENGINE_CACHE_LOOKUPS: obs::LazyCounter = obs::LazyCounter::new("engine.cache.lookups");
 static ENGINE_CACHE_HITS: obs::LazyCounter = obs::LazyCounter::new("engine.cache.hits");
 static ENGINE_CACHE_MISSES: obs::LazyCounter = obs::LazyCounter::new("engine.cache.misses");

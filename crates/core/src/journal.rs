@@ -40,6 +40,7 @@
 //! journaled), and the resulting corpus is byte-identical to an
 //! uninterrupted build under [`crate::pipeline::Corpus::canonical_json`].
 
+use crate::cache::fnv1a;
 use crate::features::CnnProfile;
 use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs, VfsFile};
 use gpu_sim::{FaultProfile, RetryPolicy, RobustProfile};
@@ -181,16 +182,6 @@ impl Replay {
     pub fn cell(&self, model_hash: u64, device: &str) -> Option<&CellOutcome> {
         self.cells.get(&(model_hash, device.to_string()))
     }
-}
-
-/// FNV-1a, the same envelope hash as [`crate::cache`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 pub(crate) fn segment_name(index: u32) -> String {

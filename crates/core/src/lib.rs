@@ -30,6 +30,7 @@ pub mod cache;
 pub mod dse;
 pub mod engine;
 pub mod features;
+pub mod invariants;
 pub mod journal;
 pub mod lifecycle;
 pub mod model;
@@ -57,6 +58,7 @@ pub use features::{
     feature_names, feature_row, profile_model, profile_model_budgeted, profile_model_report,
     profile_model_with_target, CnnProfile, ProfileError, DEFAULT_SM_TARGET,
 };
+pub use invariants::{check_invariants, Violation, INVARIANTS};
 pub use journal::{
     BuildMeta, CellOutcome, Journal, JournalError, JournalRecord, Replay, JOURNAL_SCHEMA,
     SEGMENT_RECORDS,

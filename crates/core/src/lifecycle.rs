@@ -30,9 +30,8 @@
 //!   stretch of ground truth cannot flap the model version.
 //!
 //! Everything is observable: `lifecycle.*` counters cover promotions,
-//! rejections, shadow evaluations, drift trips and rollbacks, and
-//! `cnnperf stats-check` asserts their invariants (e.g. promotions +
-//! rejections never exceed retrains).
+//! rejections, shadow evaluations, drift trips and rollbacks; their
+//! invariants live in [`crate::invariants::INVARIANTS`].
 
 use crate::features::feature_names;
 use crate::model::PerformancePredictor;

@@ -21,10 +21,10 @@
 //! marker file (also written atomically) can force cold-starts onto a
 //! specific version — the durable half of a drift rollback.
 //!
-//! Counter invariants, asserted by `cnnperf stats-check`: every scanned
-//! snapshot is either loaded or quarantined
-//! (`modelstore.snapshots.scanned == loaded + quarantined`).
+//! The `modelstore.*` counter invariants live in
+//! [`crate::invariants::INVARIANTS`].
 
+use crate::cache::fnv1a;
 use crate::model::PerformancePredictor;
 use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
 use serde::{Deserialize, Serialize};
@@ -52,16 +52,6 @@ static DEMOTIONS: obs::LazyCounter = obs::LazyCounter::new("modelstore.demotions
 pub const SNAPSHOT_SCHEMA: u32 = 1;
 
 const PIN_FILE: &str = "PINNED";
-
-/// FNV-1a, the same cheap-but-sensitive hash the corpus cache uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Descriptive metadata stored alongside the predictor, cheap to list
 /// without deserializing the model itself.

@@ -20,8 +20,8 @@
 //! durably through [`crate::vfs`]. With `apply == false` the same audit
 //! runs read-only.
 //!
-//! Counter invariant (gated by `cnnperf stats-check`):
-//! `scrub.repaired <= scrub.findings`.
+//! The `scrub.*` counter invariant lives in
+//! [`crate::invariants::INVARIANTS`].
 
 use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
 use std::path::{Path, PathBuf};

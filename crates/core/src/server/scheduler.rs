@@ -36,6 +36,7 @@ use super::drain::DrainController;
 use super::protocol::{render_error, render_result, result_body, EstimateRequest};
 use super::qos::{QosClass, QosPolicy};
 use super::ServerConfig;
+use crate::cache::fnv1a;
 use crate::engine::{EstimateOutcome, OutcomeKind, ResilientEngine, Tier, TierFailure};
 use crate::lifecycle::{MeasurementLog, PredictorSlot};
 use crate::model::PerformancePredictor;
@@ -85,15 +86,6 @@ fn shed_count(class: QosClass) {
     obs::global()
         .counter(&format!("server.shed.{}", class.name()))
         .inc();
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 type JobKey = (String, String);

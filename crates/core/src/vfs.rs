@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Every operation issued through any [`Vfs`] (reads included).
 static VFS_OPS: obs::LazyCounter = obs::LazyCounter::new("vfs.ops");
-/// Faults injected by [`SimFs`]; always `<= vfs.ops` (stats-check gated).
+/// Faults injected by [`SimFs`].
 static VFS_INJECTED: obs::LazyCounter = obs::LazyCounter::new("vfs.injected");
 /// File syncs (fsync) issued — nonzero on every durable write path.
 static VFS_SYNC_FILE: obs::LazyCounter = obs::LazyCounter::new("vfs.sync_file");

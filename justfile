@@ -214,3 +214,8 @@ poly-equivalence:
         --tiers analytical --deadline-ms 60000 --stats json > target/poly-smoke-sm80.out
     cargo run --release -- stats-check target/poly-smoke-sm80.out
     grep -q '"ptx.poly.compiled":' target/poly-smoke-sm80.out
+
+# Rust line count over the source set the ROADMAP records:
+# crates/, src/, tests/, examples/, shims/ and perfbench/src/.
+loc:
+    @find crates src tests examples shims perfbench/src -name '*.rs' -not -path '*/target/*' | xargs cat | wc -l

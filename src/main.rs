@@ -12,12 +12,15 @@
 
 use cnnperf::prelude::*;
 use cnnperf_core::{
-    build_corpus_robust_with, BuildMeta, BuildOptions, Journal, JournalError, Replay, ScrubOptions,
-    SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    build_corpus_robust_with, BuildMeta, BuildOptions, Journal, JournalError, ProfileError, Replay,
+    ScrubOptions, SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
 };
-use gpu_sim::{estimate_power, ChaosProfile, SimMode, Simulator};
+use gpu_sim::{estimate_power, ChaosProfile, FaultProfile, SimMode, Simulator};
+use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Exit-code taxonomy (documented in the README): `0` success, `1`
 /// generic failure, then one code per distinguishable operational
@@ -121,14 +124,206 @@ fn usage() -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
-fn model_or_exit(name: &str) -> cnn_ir::ModelGraph {
-    match cnn_ir::zoo::build_any(name) {
-        Some(m) => m,
-        None => {
-            eprintln!("unknown model '{name}' — see `cnnperf list`");
-            std::process::exit(EXIT_USAGE as i32);
+/// A command's result. `Err` carries an early exit (a usage error, a
+/// store that failed to open) so `?` can return it.
+type Exit = Result<ExitCode, ExitCode>;
+
+/// Print a one-line usage error; it exits 2.
+fn usage_error(msg: impl Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(EXIT_USAGE)
+}
+
+/// Every command: its name, its flags (`--flag=` takes a value, `--flag`
+/// is a bare switch), the least and most positionals, and its body. Every
+/// command also takes the global `--count-mode=`.
+type Command = (&'static str, &'static str, usize, usize, fn(&Args) -> Exit);
+const COMMANDS: &[Command] = &[
+    ("list", "", 0, 0, cmd_list),
+    ("analyze", "", 1, 1, cmd_analyze),
+    ("profile", "", 2, 2, cmd_profile),
+    ("predict", "--regressor= --all-devices", 1, 2, cmd_predict),
+    (
+        "rank",
+        "--journal-dir= --cell-timeout-ms= --stats= --resume",
+        1,
+        1,
+        cmd_rank,
+    ),
+    (
+        "corpus",
+        "--runs= --fault-profile= --models= --devices= --journal-dir= --cell-timeout-ms= \
+         --chaos= --out= --stats= --strict --resume",
+        0,
+        0,
+        cmd_corpus,
+    ),
+    (
+        "estimate",
+        "--deadline-ms= --tiers= --chaos= --queue-capacity= --stats= --all-devices",
+        1,
+        2,
+        cmd_estimate,
+    ),
+    (
+        "serve",
+        "--socket= --metrics= --workers= --deadlines= --quotas= --max-retries= \
+         --retry-backoff-ms= --tiers= --chaos= --max-frame-bytes= --frame-stall-ms= \
+         --drain-deadline-ms= --stats-dump= --model-dir= --retrain-interval-s= \
+         --shadow-window= --promotion-threshold= --drift-window= --drift-threshold= \
+         --no-revalidate",
+        0,
+        0,
+        cmd_serve,
+    ),
+    ("models", "--model-dir=", 1, 2, cmd_models),
+    ("scrub", "--stats= --dry-run", 1, 1, cmd_scrub),
+    ("stats-check", "", 1, 1, cmd_stats_check),
+    ("ptx", "", 1, 1, cmd_ptx),
+    ("dot", "", 1, 1, cmd_dot),
+];
+
+/// One command's arguments: `--flag value` pairs, bare switches (with no
+/// value) and positionals.
+#[derive(Default)]
+struct Args<'a> {
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    pos: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Split `tokens` by `cmd`'s flags. An unknown flag, a flag without
+    /// its value or a positional past the command's last is a usage error.
+    fn parse(cmd: &Command, tokens: &[&'a str]) -> Result<Self, ExitCode> {
+        let &(name, flags, _, max_pos, _) = cmd;
+        let mut args = Args::default();
+        let mut it = tokens.iter().copied();
+        while let Some(t) = it.next() {
+            let takes_value = (flags.split_whitespace().chain(["--count-mode="]))
+                .find_map(|f| (f.trim_end_matches('=') == t).then(|| f.ends_with('=')));
+            match takes_value {
+                Some(true) => {
+                    let v = it.next();
+                    let v = v.ok_or_else(|| usage_error(format!("{t} needs a value")))?;
+                    args.flags.push((t, Some(v)));
+                }
+                Some(false) => args.flags.push((t, None)),
+                None if t.starts_with("--") => {
+                    return Err(usage_error(format!("unknown {name} flag `{t}`")))
+                }
+                None if args.pos.len() < max_pos => args.pos.push(t),
+                None => return Err(usage_error(format!("{name}: unexpected argument `{t}`"))),
+            }
         }
+        Ok(args)
     }
+
+    fn has(&self, switch: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == switch)
+    }
+
+    /// The value of the last `flag` given.
+    fn raw(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().rev().find(|(f, _)| *f == flag)?.1
+    }
+
+    /// `flag`'s value through `parse`; a value it refuses is a usage error.
+    fn get<T, E: Display>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, ExitCode> {
+        let parsed = self
+            .raw(flag)
+            .map(|v| parse(v).map_err(|e| usage_error(format!("bad {flag} `{v}`: {e}"))));
+        parsed.transpose()
+    }
+
+    fn get_or<T, E: Display>(
+        &self,
+        flag: &str,
+        default: T,
+        parse: impl Fn(&str) -> Result<T, E>,
+    ) -> Result<T, ExitCode> {
+        Ok(self.get(flag, parse)?.unwrap_or(default))
+    }
+}
+
+/// An integer of at least `min`.
+fn at_least<T: FromStr + PartialOrd + Display + Copy>(
+    min: T,
+) -> impl Fn(&str) -> Result<T, String> {
+    move |v| {
+        v.parse()
+            .ok()
+            .filter(|n| *n >= min)
+            .ok_or_else(|| format!("needs an integer >= {min}"))
+    }
+}
+
+/// A finite number that `ok` accepts.
+fn number(ok: fn(f64) -> bool, what: &'static str) -> impl Fn(&str) -> Result<f64, &'static str> {
+    move |v| {
+        v.parse()
+            .ok()
+            .filter(|f: &f64| f.is_finite() && ok(*f))
+            .ok_or(what)
+    }
+}
+
+/// An `I,B,E` triple (interactive, batch, best-effort) of positive integers.
+fn triple<T: FromStr + PartialOrd + From<u8>>(spec: &str) -> Result<[T; 3], &'static str> {
+    let parts: Option<Vec<T>> = spec
+        .split(',')
+        .map(|s| s.trim().parse().ok().filter(|n| *n >= T::from(1)))
+        .collect();
+    parts
+        .and_then(|p| p.try_into().ok())
+        .ok_or("needs three positive integers: interactive,batch,best-effort")
+}
+
+fn regressor(flag: &str) -> Result<RegressorKind, &'static str> {
+    Ok(match flag {
+        "dt" => RegressorKind::DecisionTree,
+        "knn" => RegressorKind::KNearestNeighbors,
+        "rf" => RegressorKind::RandomForest,
+        "xgb" => RegressorKind::XgBoost,
+        "lr" => RegressorKind::LinearRegression,
+        _ => return Err("needs dt|knn|rf|xgb|lr"),
+    })
+}
+
+/// The journal and watchdog a corpus build runs under: `--journal-dir`,
+/// `--resume` and `--cell-timeout-ms`.
+#[derive(Default)]
+struct Journaling<'a> {
+    dir: Option<&'a Path>,
+    resume: bool,
+    cell_timeout_ms: Option<u64>,
+}
+
+impl<'a> Journaling<'a> {
+    /// Read the three flags, refusing `--resume` without a journal.
+    fn parse(a: &Args<'a>) -> Result<Self, ExitCode> {
+        let j = Journaling {
+            dir: a.raw("--journal-dir").map(Path::new),
+            resume: a.has("--resume"),
+            cell_timeout_ms: a.get("--cell-timeout-ms", at_least(1))?,
+        };
+        if j.resume && j.dir.is_none() {
+            return Err(usage_error(
+                "--resume needs --journal-dir (nothing to resume from)",
+            ));
+        }
+        Ok(j)
+    }
+}
+
+fn model_or_exit(name: &str) -> cnn_ir::ModelGraph {
+    cnn_ir::zoo::build_any(name).unwrap_or_else(|| {
+        eprintln!("unknown model '{name}' — see `cnnperf list`");
+        std::process::exit(EXIT_USAGE as i32)
+    })
 }
 
 /// Run the full model analysis, exiting cleanly on failure — reachable
@@ -142,37 +337,17 @@ fn analysis_or_exit(
     ptx_analysis::PlanCount,
     cnn_ir::ModelSummary,
 ) {
-    match profile_model(model) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analysis failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    profile_model(model).unwrap_or_else(|e| {
+        eprintln!("analysis failed: {e}");
+        std::process::exit(1)
+    })
 }
 
 fn device_or_exit(name: &str) -> gpu_sim::DeviceSpec {
-    match gpu_sim::device_by_name(name) {
-        Some(d) => d,
-        None => {
-            eprintln!("unknown device '{name}' — see `cnnperf list`");
-            std::process::exit(EXIT_USAGE as i32);
-        }
-    }
-}
-
-fn regressor_of(flag: Option<&str>) -> RegressorKind {
-    match flag.unwrap_or("dt") {
-        "dt" => RegressorKind::DecisionTree,
-        "knn" => RegressorKind::KNearestNeighbors,
-        "rf" => RegressorKind::RandomForest,
-        "xgb" => RegressorKind::XgBoost,
-        "lr" => RegressorKind::LinearRegression,
-        other => {
-            eprintln!("unknown regressor '{other}' (dt|knn|rf|xgb|lr)");
-            std::process::exit(EXIT_USAGE as i32);
-        }
-    }
+    gpu_sim::device_by_name(name).unwrap_or_else(|| {
+        eprintln!("unknown device '{name}' — see `cnnperf list`");
+        std::process::exit(EXIT_USAGE as i32)
+    })
 }
 
 /// Output format for the end-of-run metrics snapshot (`--stats`).
@@ -183,24 +358,25 @@ enum StatsFormat {
 }
 
 impl StatsFormat {
-    fn parse(s: &str) -> Option<Self> {
+    fn parse(s: &str) -> Result<Self, &'static str> {
         match s {
-            "json" => Some(StatsFormat::Json),
-            "prom" => Some(StatsFormat::Prom),
-            _ => None,
+            "json" => Ok(StatsFormat::Json),
+            "prom" => Ok(StatsFormat::Prom),
+            _ => Err("needs json or prom"),
         }
     }
 }
 
-/// Emit the global metrics snapshot to stdout. The JSON form is a single
-/// line (always the *last* stdout line of the command) so scripts and
-/// `stats-check` can grab it without parsing the human-readable report
-/// above it.
-fn emit_stats(fmt: StatsFormat) {
+/// Emit the global metrics snapshot to stdout, if asked for. The JSON
+/// form is a single line (always the *last* stdout line of the command)
+/// so scripts and `stats-check` can grab it without parsing the
+/// human-readable report above it.
+fn emit_stats(fmt: Option<StatsFormat>) {
     let snap = obs::global().snapshot();
     match fmt {
-        StatsFormat::Json => println!("{}", snap.to_json()),
-        StatsFormat::Prom => print!("{}", snap.to_prometheus()),
+        Some(StatsFormat::Json) => println!("{}", snap.to_json()),
+        Some(StatsFormat::Prom) => print!("{}", snap.to_prometheus()),
+        None => {}
     }
 }
 
@@ -227,148 +403,21 @@ fn corpus_if_cached() -> Option<Corpus> {
     }
 }
 
-/// Load or build the full paper corpus, cached crash-safely next to the
-/// bench harness's cache.
-fn corpus() -> Corpus {
-    if let Some(c) = corpus_if_cached() {
-        return c;
-    }
-    eprintln!("building training corpus (32 CNNs x 2 GPUs, ~1 min, cached afterwards)...");
-    let c = build_paper_corpus().expect("corpus build");
-    if let Err(e) = store_corpus(&corpus_cache_path(), &c) {
-        eprintln!("warning: corpus cache write failed: {e}");
-    }
-    c
-}
-
-fn cmd_list() {
-    println!("Table I zoo ({} models):", cnn_ir::zoo::all().len());
-    for e in cnn_ir::zoo::all() {
-        println!("  {}", e.name);
-    }
-    println!("\nvariants:");
-    for (name, _) in cnn_ir::zoo::variants::all_variants() {
-        println!("  {name}");
-    }
-    println!("\ntransformers:");
-    for (name, _) in cnn_ir::zoo::transformer::all_transformers() {
-        println!("  {name}");
-    }
-    println!("\ndevices:");
-    for d in gpu_sim::all_devices() {
-        println!(
-            "  {:14} {:4} SMs, {:5} cores, {:6.0} GB/s, {:5} KB L2, sm_{}{}",
-            d.name,
-            d.sm_count,
-            d.cuda_cores(),
-            d.mem_bandwidth_gbs,
-            d.l2_cache_kb,
-            d.compute_capability.0,
-            d.compute_capability.1
-        );
-    }
-}
-
-fn cmd_analyze(name: &str) {
-    let model = model_or_exit(name);
-    let (profile, plan, counts, summary) = analysis_or_exit(&model);
-    println!("model: {}", profile.name);
-    println!(
-        "  input:                {}x{}",
-        summary.input_size.0, summary.input_size.1
-    );
-    println!("  graph nodes:          {}", summary.num_nodes);
-    println!("  weighted layers:      {}", summary.weighted_layers);
-    println!(
-        "  trainable params:     {}",
-        thousands(summary.trainable_params)
-    );
-    println!(
-        "  non-trainable params: {}",
-        thousands(summary.non_trainable_params)
-    );
-    println!("  neurons:              {}", thousands(summary.neurons));
-    println!("  MACs:                 {}", thousands(summary.macs));
-    println!("  FLOPs:                {}", thousands(summary.flops));
-    println!("  kernel launches:      {}", plan.launches.len());
-    println!(
-        "  executed PTX instructions: {} (thread-level), {} (warp-level)",
-        thousands(counts.thread_instructions),
-        thousands(counts.warp_issues)
-    );
-    println!("  dynamic code analysis time: {:.2}s", profile.dca_seconds);
-}
-
-fn cmd_profile(name: &str, device: &str) {
-    let model = model_or_exit(name);
-    let dev = device_or_exit(device);
-    let plan = ptx_codegen::lower(&model, &dev.sm_target()).expect("lowering");
-    let sim = Simulator::new(dev.clone(), SimMode::Detailed)
-        .simulate_plan(&plan)
-        .expect("simulation");
-    let counts = ptx_analysis::count_plan(&plan, true).expect("counts");
-    let power = estimate_power(&sim, &counts, &dev);
-    println!("{} on {} (detailed simulation):", sim.model_name, dev.name);
-    println!("  cycles:       {:.3e}", sim.cycles);
-    println!("  latency:      {:.2} ms", sim.latency_ms);
-    println!("  IPC:          {:.3}", sim.ipc);
-    println!(
-        "  DRAM traffic: {:.1} MB (avg L2 hit {:.0}%)",
-        sim.dram_bytes / 1e6,
-        sim.l2_hit * 100.0
-    );
-    println!("  avg power:    {:.1} W", power.avg_power_w);
-    println!(
-        "  energy:       {:.1} mJ (EDP {:.1} mJ*ms)",
-        power.energy_mj, power.edp
-    );
-}
-
-fn cmd_predict(name: &str, device: Option<&str>, all: bool, kind: RegressorKind) {
-    let model = model_or_exit(name);
-    let corpus = corpus();
-    let predictor = PerformancePredictor::train(&corpus.dataset, kind, 42);
-    let (profile, ..) = analysis_or_exit(&model);
-    let devices: Vec<_> = if all {
-        gpu_sim::all_devices()
-    } else {
-        vec![device_or_exit(device.unwrap_or("GTX 1080 Ti"))]
-    };
-    println!("predicted IPC for {} ({}):", profile.name, kind.name());
-    for dev in devices {
-        println!("  {:14} {:.3}", dev.name, predictor.predict(&profile, &dev));
-    }
-}
-
-/// Like [`corpus`], but a cache miss rebuilds under the given journal
-/// (checkpointing every cell) and watchdog, so a killed `rank` warm-up can
-/// be resumed instead of restarted. Uses the paper's strict single-run
-/// protocol — the same corpus the cache would have held.
-fn corpus_with_journal(
-    journal_dir: Option<&Path>,
-    resume: bool,
-    cell_timeout_ms: Option<u64>,
-) -> Result<Corpus, ExitCode> {
+/// Load the full paper corpus from the crash-safe cache, or build and
+/// cache it. A build runs under the given journal (checkpointing every
+/// cell) and watchdog, so a killed `rank` warm-up can be resumed instead
+/// of restarted. It uses the paper's strict single-run protocol — the
+/// same corpus the cache would have held.
+fn corpus(journaling: &Journaling) -> Result<Corpus, ExitCode> {
     if let Some(c) = corpus_if_cached() {
         return Ok(c);
     }
-    eprintln!("building training corpus (32 CNNs x 2 GPUs, ~1 min, cached afterwards)...");
+    eprintln!("building training corpus (32 CNNs x 2 GPUs, ~6 s on 2 cores, cached afterwards)...");
     let cfg = RobustConfig::strict_single_run();
-    let journal_state = match journal_dir {
-        Some(dir) => Some(open_journal_or_exit(dir, &cfg, resume)?),
-        None => None,
-    };
-    let supervisor =
-        cell_timeout_ms.map(|ms| Supervisor::start(SuperviseConfig::with_timeout_ms(ms)));
-    let opts = BuildOptions {
-        journal: journal_state.as_ref().map(|(j, _)| j),
-        replay: journal_state.as_ref().map(|(_, r)| r),
-        supervisor: supervisor.as_ref(),
-        chaos: ChaosProfile::none(),
-    };
     let models = cnn_ir::zoo::build_all();
     let devices = gpu_sim::training_devices();
-    let (c, _report) = build_corpus_robust_with(&models, &devices, &cfg, &opts).map_err(|e| {
+    let built = build_journaled(&models, &devices, &cfg, journaling, ChaosProfile::none())?;
+    let (c, _report) = built.map_err(|e| {
         eprintln!("corpus build failed: {e}");
         ExitCode::FAILURE
     })?;
@@ -376,56 +425,6 @@ fn corpus_with_journal(
         eprintln!("warning: corpus cache write failed: {e}");
     }
     Ok(c)
-}
-
-fn cmd_rank(
-    name: &str,
-    stats: Option<StatsFormat>,
-    journal_dir: Option<&Path>,
-    resume: bool,
-    cell_timeout_ms: Option<u64>,
-) -> ExitCode {
-    let model = model_or_exit(name);
-    let corpus = match corpus_with_journal(journal_dir, resume, cell_timeout_ms) {
-        Ok(c) => c,
-        Err(code) => return code,
-    };
-    let predictor = PerformancePredictor::train(&corpus.dataset, RegressorKind::DecisionTree, 42);
-    let devices = gpu_sim::all_devices();
-    let outcome = rank_devices(&predictor, &model, &devices).expect("dse");
-    println!(
-        "device ranking for {} (t_dca {:.2}s, t_pm {:.3}ms):",
-        outcome.model,
-        outcome.t_dca,
-        outcome.t_pm * 1e3
-    );
-    for (i, r) in outcome.ranking.iter().enumerate() {
-        println!(
-            "  {}. {:14} predicted IPC {:.3}",
-            i + 1,
-            r.device,
-            r.predicted_ipc
-        );
-    }
-    let (entries, capacity) = cnnperf_core::cache_stats();
-    println!("analysis cache: {entries}/{capacity} entries");
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Build fingerprint for the cell journal: any of these differing between
-/// a journal and a resuming build makes the journaled cells meaningless.
-fn build_meta_for(cfg: &RobustConfig) -> BuildMeta {
-    BuildMeta {
-        schema: JOURNAL_SCHEMA,
-        sm_target: DEFAULT_SM_TARGET.to_string(),
-        runs: cfg.runs,
-        retry: cfg.retry.clone(),
-        faults: cfg.faults.clone(),
-        strict: cfg.strict,
-    }
 }
 
 /// Open (or resume) the cell journal at `dir`, mapping the failure modes
@@ -438,7 +437,17 @@ fn open_journal_or_exit(
     cfg: &RobustConfig,
     resume: bool,
 ) -> Result<(Journal, Replay), ExitCode> {
-    match Journal::open(dir, &build_meta_for(cfg), resume) {
+    // any of these differing between a journal and a resuming build makes
+    // the journaled cells meaningless
+    let meta = BuildMeta {
+        schema: JOURNAL_SCHEMA,
+        sm_target: DEFAULT_SM_TARGET.to_string(),
+        runs: cfg.runs,
+        retry: cfg.retry.clone(),
+        faults: cfg.faults.clone(),
+        strict: cfg.strict,
+    };
+    match Journal::open(dir, &meta, resume) {
         Ok((journal, replay)) => {
             if replay.corrupt_segments > 0 {
                 eprintln!(
@@ -466,133 +475,186 @@ fn open_journal_or_exit(
     }
 }
 
-fn cmd_corpus(args: &[&str]) -> ExitCode {
-    let mut cfg = RobustConfig::default();
-    let mut stats: Option<StatsFormat> = None;
-    let mut models_spec: Option<&str> = None;
-    let mut devices_spec: Option<&str> = None;
-    let mut journal_dir: Option<PathBuf> = None;
-    let mut resume = false;
-    let mut cell_timeout_ms: Option<u64> = None;
-    let mut chaos = ChaosProfile::none();
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--strict" => cfg.strict = true,
-            "--resume" => resume = true,
-            "--stats" => match it.next().copied().and_then(StatsFormat::parse) {
-                Some(f) => stats = Some(f),
-                None => {
-                    eprintln!("--stats needs `json` or `prom`");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--runs" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) if n >= 1 => cfg.runs = n,
-                _ => {
-                    eprintln!("--runs needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--fault-profile" => match it.next() {
-                Some(spec) => match gpu_sim::FaultProfile::parse(spec) {
-                    Ok(p) => cfg.faults = p,
-                    Err(e) => {
-                        eprintln!("bad --fault-profile: {e}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                },
-                None => {
-                    eprintln!("--fault-profile needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--models" => match it.next() {
-                Some(spec) => models_spec = Some(spec),
-                None => {
-                    eprintln!("--models needs a comma-separated list");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--devices" => match it.next() {
-                Some(spec) => devices_spec = Some(spec),
-                None => {
-                    eprintln!("--devices needs a comma-separated list");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--journal-dir" => match it.next() {
-                Some(dir) => journal_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--journal-dir needs a directory");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--cell-timeout-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => cell_timeout_ms = Some(n),
-                _ => {
-                    eprintln!("--cell-timeout-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--chaos" => match it.next().map(|s| gpu_sim::ChaosProfile::parse(s)) {
-                Some(Ok(p)) => chaos = p,
-                Some(Err(e)) => {
-                    eprintln!("bad --chaos: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--chaos needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--out" => match it.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            other => {
-                eprintln!("unknown corpus flag `{other}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
+/// Build `models` x `devices` under `cfg` and `journaling`. `Err` is a
+/// journal that could not be opened.
+fn build_journaled(
+    models: &[cnn_ir::ModelGraph],
+    devices: &[gpu_sim::DeviceSpec],
+    cfg: &RobustConfig,
+    journaling: &Journaling,
+    chaos: ChaosProfile,
+) -> Result<Result<(Corpus, CorpusReport), ProfileError>, ExitCode> {
+    let journal = (journaling.dir)
+        .map(|dir| open_journal_or_exit(dir, cfg, journaling.resume))
+        .transpose()?;
+    let supervisor = (journaling.cell_timeout_ms)
+        .map(|ms| Supervisor::start(SuperviseConfig::with_timeout_ms(ms)));
+    let opts = BuildOptions {
+        journal: journal.as_ref().map(|(j, _)| j),
+        replay: journal.as_ref().map(|(_, r)| r),
+        supervisor: supervisor.as_ref(),
+        chaos,
+    };
+    Ok(build_corpus_robust_with(models, devices, cfg, &opts))
+}
+
+fn cmd_list(_: &Args) -> Exit {
+    println!("Table I zoo ({} models):", cnn_ir::zoo::all().len());
+    for e in cnn_ir::zoo::all() {
+        println!("  {}", e.name);
     }
-    if resume && journal_dir.is_none() {
-        eprintln!("--resume needs --journal-dir (nothing to resume from)");
-        return ExitCode::from(EXIT_USAGE);
+    println!("\nvariants:");
+    for (name, _) in cnn_ir::zoo::variants::all_variants() {
+        println!("  {name}");
     }
-    if chaos.hang_rate > 0.0 && cell_timeout_ms.is_none() {
-        eprintln!(
-            "--chaos with hang>0 needs --cell-timeout-ms (an unwatched hang wedges the build)"
+    println!("\ntransformers:");
+    for (name, _) in cnn_ir::zoo::transformer::all_transformers() {
+        println!("  {name}");
+    }
+    println!("\ndevices:");
+    for d in gpu_sim::all_devices() {
+        println!(
+            "  {:14} {:4} SMs, {:5} cores, {:6.0} GB/s, {:5} KB L2, sm_{}{}",
+            d.name,
+            d.sm_count,
+            d.cuda_cores(),
+            d.mem_bandwidth_gbs,
+            d.l2_cache_kb,
+            d.compute_capability.0,
+            d.compute_capability.1
         );
-        return ExitCode::from(EXIT_USAGE);
     }
-    let models: Vec<cnn_ir::ModelGraph> = match models_spec {
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_analyze(a: &Args) -> Exit {
+    let model = model_or_exit(a.pos[0]);
+    let (profile, plan, counts, summary) = analysis_or_exit(&model);
+    println!("model: {}", profile.name);
+    println!(
+        "  input:                {}x{}",
+        summary.input_size.0, summary.input_size.1
+    );
+    println!("  graph nodes:          {}", summary.num_nodes);
+    println!("  weighted layers:      {}", summary.weighted_layers);
+    println!(
+        "  trainable params:     {}",
+        thousands(summary.trainable_params)
+    );
+    println!(
+        "  non-trainable params: {}",
+        thousands(summary.non_trainable_params)
+    );
+    println!("  neurons:              {}", thousands(summary.neurons));
+    println!("  MACs:                 {}", thousands(summary.macs));
+    println!("  FLOPs:                {}", thousands(summary.flops));
+    println!("  kernel launches:      {}", plan.launches.len());
+    println!(
+        "  executed PTX instructions: {} (thread-level), {} (warp-level)",
+        thousands(counts.thread_instructions),
+        thousands(counts.warp_issues)
+    );
+    println!("  dynamic code analysis time: {:.2}s", profile.dca_seconds);
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_profile(a: &Args) -> Exit {
+    let model = model_or_exit(a.pos[0]);
+    let dev = device_or_exit(a.pos[1]);
+    let plan = ptx_codegen::lower(&model, &dev.sm_target()).expect("lowering");
+    let sim = Simulator::new(dev.clone(), SimMode::Detailed)
+        .simulate_plan(&plan)
+        .expect("simulation");
+    let counts = ptx_analysis::count_plan(&plan, true).expect("counts");
+    let power = estimate_power(&sim, &counts, &dev);
+    println!("{} on {} (detailed simulation):", sim.model_name, dev.name);
+    println!("  cycles:       {:.3e}", sim.cycles);
+    println!("  latency:      {:.2} ms", sim.latency_ms);
+    println!("  IPC:          {:.3}", sim.ipc);
+    println!(
+        "  DRAM traffic: {:.1} MB (avg L2 hit {:.0}%)",
+        sim.dram_bytes / 1e6,
+        sim.l2_hit * 100.0
+    );
+    println!("  avg power:    {:.1} W", power.avg_power_w);
+    println!(
+        "  energy:       {:.1} mJ (EDP {:.1} mJ*ms)",
+        power.energy_mj, power.edp
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_predict(a: &Args) -> Exit {
+    let kind = a.get_or("--regressor", RegressorKind::DecisionTree, regressor)?;
+    let model = model_or_exit(a.pos[0]);
+    let corpus = corpus(&Journaling::default())?;
+    let predictor = PerformancePredictor::train(&corpus.dataset, kind, 42);
+    let (profile, ..) = analysis_or_exit(&model);
+    let devices: Vec<_> = if a.has("--all-devices") {
+        gpu_sim::all_devices()
+    } else {
+        vec![device_or_exit(
+            a.pos.get(1).copied().unwrap_or("GTX 1080 Ti"),
+        )]
+    };
+    println!("predicted IPC for {} ({}):", profile.name, kind.name());
+    for dev in devices {
+        println!("  {:14} {:.3}", dev.name, predictor.predict(&profile, &dev));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_rank(a: &Args) -> Exit {
+    let stats = a.get("--stats", StatsFormat::parse)?;
+    let journaling = Journaling::parse(a)?;
+    let model = model_or_exit(a.pos[0]);
+    let corpus = corpus(&journaling)?;
+    let predictor = PerformancePredictor::train(&corpus.dataset, RegressorKind::DecisionTree, 42);
+    let devices = gpu_sim::all_devices();
+    let outcome = rank_devices(&predictor, &model, &devices).expect("dse");
+    println!(
+        "device ranking for {} (t_dca {:.2}s, t_pm {:.3}ms):",
+        outcome.model,
+        outcome.t_dca,
+        outcome.t_pm * 1e3
+    );
+    for (i, r) in outcome.ranking.iter().enumerate() {
+        println!(
+            "  {}. {:14} predicted IPC {:.3}",
+            i + 1,
+            r.device,
+            r.predicted_ipc
+        );
+    }
+    let (entries, capacity) = cnnperf_core::cache_stats();
+    println!("analysis cache: {entries}/{capacity} entries");
+    emit_stats(stats);
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_corpus(a: &Args) -> Exit {
+    let defaults = RobustConfig::default();
+    let cfg = RobustConfig {
+        strict: a.has("--strict"),
+        runs: a.get_or("--runs", defaults.runs, at_least(1u32))?,
+        faults: a.get_or("--fault-profile", defaults.faults, FaultProfile::parse)?,
+        ..defaults
+    };
+    let stats = a.get("--stats", StatsFormat::parse)?;
+    let chaos = a.get_or("--chaos", ChaosProfile::none(), ChaosProfile::parse)?;
+    let journaling = Journaling::parse(a)?;
+    if chaos.hang_rate > 0.0 && journaling.cell_timeout_ms.is_none() {
+        return Err(usage_error(
+            "--chaos with hang>0 needs --cell-timeout-ms (an unwatched hang wedges the build)",
+        ));
+    }
+    let models: Vec<cnn_ir::ModelGraph> = match a.raw("--models") {
         Some(spec) => spec.split(',').map(|n| model_or_exit(n.trim())).collect(),
         None => cnn_ir::zoo::build_all(),
     };
-    let devices: Vec<gpu_sim::DeviceSpec> = match devices_spec {
+    let devices: Vec<gpu_sim::DeviceSpec> = match a.raw("--devices") {
         Some(spec) => spec.split(',').map(|n| device_or_exit(n.trim())).collect(),
         None => gpu_sim::training_devices(),
-    };
-
-    let journal_state = match &journal_dir {
-        Some(dir) => match open_journal_or_exit(dir, &cfg, resume) {
-            Ok(state) => Some(state),
-            Err(code) => return code,
-        },
-        None => None,
-    };
-    let supervisor =
-        cell_timeout_ms.map(|ms| Supervisor::start(SuperviseConfig::with_timeout_ms(ms)));
-    let opts = BuildOptions {
-        journal: journal_state.as_ref().map(|(j, _)| j),
-        replay: journal_state.as_ref().map(|(_, r)| r),
-        supervisor: supervisor.as_ref(),
-        chaos,
     };
 
     eprintln!(
@@ -602,7 +664,8 @@ fn cmd_corpus(args: &[&str]) -> ExitCode {
         cfg.runs,
         cfg.strict
     );
-    let code = match build_corpus_robust_with(&models, &devices, &cfg, &opts) {
+    let built = build_journaled(&models, &devices, &cfg, &journaling, chaos)?;
+    let code = match built {
         Ok((corpus, report)) => {
             println!(
                 "corpus: {} rows, {} models",
@@ -637,14 +700,14 @@ fn cmd_corpus(args: &[&str]) -> ExitCode {
                     ),
                 }
             }
-            match &out {
+            match a.raw("--out") {
                 Some(path) => match std::fs::write(path, corpus.canonical_json()) {
                     Ok(()) => {
-                        eprintln!("canonical corpus written to {}", path.display());
+                        eprintln!("canonical corpus written to {path}");
                         ExitCode::SUCCESS
                     }
                     Err(e) => {
-                        eprintln!("cannot write --out {}: {e}", path.display());
+                        eprintln!("cannot write --out {path}: {e}");
                         ExitCode::FAILURE
                     }
                 },
@@ -663,94 +726,34 @@ fn cmd_corpus(args: &[&str]) -> ExitCode {
             ExitCode::FAILURE
         }
     };
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
-    code
+    emit_stats(stats);
+    Ok(code)
 }
 
-fn cmd_estimate(args: &[&str]) -> ExitCode {
-    let mut config = EngineConfig::default();
-    let mut positional: Vec<&str> = Vec::new();
-    let mut all_devices = false;
-    let mut stats: Option<StatsFormat> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--all-devices" => all_devices = true,
-            "--stats" => match it.next().copied().and_then(StatsFormat::parse) {
-                Some(f) => stats = Some(f),
-                None => {
-                    eprintln!("--stats needs `json` or `prom`");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--deadline-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => config.deadline_ms = n,
-                _ => {
-                    eprintln!("--deadline-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--tiers" => match it.next().map(|s| Tier::parse_ladder(s)) {
-                Some(Ok(tiers)) => config.tiers = tiers,
-                Some(Err(e)) => {
-                    eprintln!("bad --tiers: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--tiers needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--chaos" => match it.next().map(|s| gpu_sim::ChaosProfile::parse(s)) {
-                Some(Ok(p)) => config.chaos = p,
-                Some(Err(e)) => {
-                    eprintln!("bad --chaos: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--chaos needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--queue-capacity" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => config.queue_capacity = n,
-                _ => {
-                    eprintln!("--queue-capacity needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown estimate flag `{flag}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            value => positional.push(value),
-        }
-    }
-    let (models_spec, devices_spec) = match (positional.first(), positional.get(1)) {
-        (Some(m), Some(d)) => (*m, Some(*d)),
-        (Some(m), None) if all_devices => (*m, None),
-        _ => {
-            eprintln!("estimate needs <models> and <devices> (or --all-devices)");
-            return ExitCode::from(EXIT_USAGE);
-        }
+fn cmd_estimate(a: &Args) -> Exit {
+    let defaults = EngineConfig::default();
+    let config = EngineConfig {
+        deadline_ms: a.get_or("--deadline-ms", defaults.deadline_ms, at_least(1u64))?,
+        tiers: a.get_or("--tiers", defaults.tiers, Tier::parse_ladder)?,
+        chaos: a.get_or("--chaos", defaults.chaos, ChaosProfile::parse)?,
+        queue_capacity: a.get_or("--queue-capacity", defaults.queue_capacity, at_least(1))?,
+        ..defaults
     };
-    let models: Vec<String> = models_spec
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .collect();
+    let stats = a.get("--stats", StatsFormat::parse)?;
+    let all_devices = a.has("--all-devices");
+    if a.pos.len() < 2 && !all_devices {
+        return Err(usage_error(
+            "estimate needs <models> and <devices> (or --all-devices)",
+        ));
+    }
+    let models: Vec<String> = a.pos[0].split(',').map(|s| s.trim().to_string()).collect();
     let devices: Vec<String> = if all_devices {
         gpu_sim::all_devices()
             .iter()
             .map(|d| d.name.clone())
             .collect()
     } else {
-        devices_spec
-            .unwrap_or_default()
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .collect()
+        a.pos[1].split(',').map(|s| s.trim().to_string()).collect()
     };
     let requests: Vec<(String, String)> = models
         .iter()
@@ -759,8 +762,8 @@ fn cmd_estimate(args: &[&str]) -> ExitCode {
 
     let mut engine = ResilientEngine::new(config.clone());
     // a cached corpus arms the regressor and stale-cache tiers; estimation
-    // is deadline-bounded, so a cache miss must not trigger a minute-long
-    // corpus build here — the tiers simply degrade
+    // is deadline-bounded, so a cache miss must not trigger a corpus build
+    // here — the tiers simply degrade
     if let Some(corpus) = corpus_if_cached() {
         engine.warm_from_corpus(&corpus);
         engine = engine.with_predictor(PerformancePredictor::train(
@@ -798,10 +801,8 @@ fn cmd_estimate(args: &[&str]) -> ExitCode {
         println!("  {} elapsed_ms={:.1}", out.canonical(), out.elapsed_ms);
     }
     println!("served {served}/{} within deadline", outcomes.len());
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
-    if served == outcomes.len() {
+    emit_stats(stats);
+    Ok(if served == outcomes.len() {
         ExitCode::SUCCESS
     } else if outcomes
         .iter()
@@ -812,23 +813,10 @@ fn cmd_estimate(args: &[&str]) -> ExitCode {
         ExitCode::from(EXIT_OVERLOADED)
     } else {
         ExitCode::from(EXIT_DEADLINE)
-    }
+    })
 }
 
-/// Parse `--deadlines I,B,E` / `--quotas I,B,E` triples (interactive,
-/// batch, best-effort).
-fn parse_triple<T: std::str::FromStr>(spec: &str) -> Option<[T; 3]> {
-    let parts: Vec<&str> = spec.split(',').map(|s| s.trim()).collect();
-    if parts.len() != 3 {
-        return None;
-    }
-    let a = parts[0].parse().ok()?;
-    let b = parts[1].parse().ok()?;
-    let c = parts[2].parse().ok()?;
-    Some([a, b, c])
-}
-
-fn cmd_serve(args: &[&str]) -> ExitCode {
+fn cmd_serve(a: &Args) -> Exit {
     use cnnperf_core::{
         ColdStart, LifecycleConfig, LifecycleManager, ModelStore, PredictorSlot, ServeError,
         Server, ServerConfig,
@@ -836,172 +824,44 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
     use std::sync::Arc;
 
     let mut cfg = ServerConfig::default();
-    let mut socket: Option<PathBuf> = None;
-    let mut metrics: Option<String> = None;
-    let mut stats_dump: Option<StatsFormat> = None;
-    let mut model_dir: Option<PathBuf> = None;
+    cfg.workers = a.get_or("--workers", cfg.workers, at_least(1))?;
+    cfg.policy.deadline_ms = a.get_or("--deadlines", cfg.policy.deadline_ms, triple)?;
+    cfg.policy.queue_quota = a.get_or("--quotas", cfg.policy.queue_quota, triple)?;
+    cfg.max_retries = a.get_or("--max-retries", cfg.max_retries, at_least(0))?;
+    cfg.retry_backoff_ms = a.get_or("--retry-backoff-ms", cfg.retry_backoff_ms, at_least(0))?;
+    cfg.revalidate_stale &= !a.has("--no-revalidate");
+    cfg.engine.tiers = a.get_or("--tiers", cfg.engine.tiers, Tier::parse_ladder)?;
+    cfg.engine.chaos = a.get_or("--chaos", cfg.engine.chaos, ChaosProfile::parse)?;
+    cfg.max_frame_bytes = a.get_or("--max-frame-bytes", cfg.max_frame_bytes, at_least(64))?;
+    cfg.frame_stall_ms = a.get_or("--frame-stall-ms", cfg.frame_stall_ms, at_least(1))?;
+    cfg.drain_deadline_ms = a.get_or("--drain-deadline-ms", cfg.drain_deadline_ms, at_least(1))?;
     let mut lc = LifecycleConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--socket needs a path");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--metrics" => match it.next() {
-                Some(a) => metrics = Some(a.to_string()),
-                None => {
-                    eprintln!("--metrics needs an address (e.g. 127.0.0.1:9095)");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--workers" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => cfg.workers = n,
-                _ => {
-                    eprintln!("--workers needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--deadlines" => match it.next().and_then(|s| parse_triple::<u64>(s)) {
-                Some(t) if t.iter().all(|v| *v >= 1) => cfg.policy.deadline_ms = t,
-                _ => {
-                    eprintln!("--deadlines needs three positive integers: interactive,batch,best-effort (ms)");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--quotas" => match it.next().and_then(|s| parse_triple::<usize>(s)) {
-                Some(t) if t.iter().all(|v| *v >= 1) => cfg.policy.queue_quota = t,
-                _ => {
-                    eprintln!(
-                        "--quotas needs three positive integers: interactive,batch,best-effort"
-                    );
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--max-retries" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) => cfg.max_retries = n,
-                _ => {
-                    eprintln!("--max-retries needs an integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--retry-backoff-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => cfg.retry_backoff_ms = n,
-                _ => {
-                    eprintln!("--retry-backoff-ms needs an integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--no-revalidate" => cfg.revalidate_stale = false,
-            "--tiers" => match it.next().map(|s| Tier::parse_ladder(s)) {
-                Some(Ok(tiers)) => cfg.engine.tiers = tiers,
-                Some(Err(e)) => {
-                    eprintln!("bad --tiers: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--tiers needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--chaos" => match it.next().map(|s| gpu_sim::ChaosProfile::parse(s)) {
-                Some(Ok(p)) => cfg.engine.chaos = p,
-                Some(Err(e)) => {
-                    eprintln!("bad --chaos: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--chaos needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--max-frame-bytes" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 64 => cfg.max_frame_bytes = n,
-                _ => {
-                    eprintln!("--max-frame-bytes needs an integer >= 64");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--frame-stall-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => cfg.frame_stall_ms = n,
-                _ => {
-                    eprintln!("--frame-stall-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--drain-deadline-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => cfg.drain_deadline_ms = n,
-                _ => {
-                    eprintln!("--drain-deadline-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--stats-dump" => match it.next().copied().and_then(StatsFormat::parse) {
-                Some(f) => stats_dump = Some(f),
-                None => {
-                    eprintln!("--stats-dump needs `json` or `prom`");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--model-dir" => match it.next() {
-                Some(p) => model_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--model-dir needs a directory path");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--retrain-interval-s" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => lc.retrain_interval = std::time::Duration::from_secs(n),
-                _ => {
-                    eprintln!("--retrain-interval-s needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--shadow-window" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => lc.shadow_window = n,
-                _ => {
-                    eprintln!("--shadow-window needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--promotion-threshold" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(f)) if f.is_finite() && f >= 0.0 => lc.promotion_threshold = f,
-                _ => {
-                    eprintln!("--promotion-threshold needs a non-negative number");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--drift-window" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => lc.drift_window = n,
-                _ => {
-                    eprintln!("--drift-window needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--drift-threshold" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(f)) if f.is_finite() && f > 0.0 => lc.drift_threshold = f,
-                _ => {
-                    eprintln!("--drift-threshold needs a positive number");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            other => {
-                eprintln!("unknown serve flag `{other}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
+    if let Some(s) = a.get("--retrain-interval-s", at_least(1))? {
+        lc.retrain_interval = std::time::Duration::from_secs(s);
     }
+    lc.shadow_window = a.get_or("--shadow-window", lc.shadow_window, at_least(1))?;
+    let non_negative = number(|f| f >= 0.0, "needs a finite number >= 0");
+    lc.promotion_threshold = a.get_or(
+        "--promotion-threshold",
+        lc.promotion_threshold,
+        non_negative,
+    )?;
+    lc.drift_window = a.get_or("--drift-window", lc.drift_window, at_least(1))?;
+    let positive = number(|f| f > 0.0, "needs a finite number > 0");
+    lc.drift_threshold = a.get_or("--drift-threshold", lc.drift_threshold, positive)?;
+    let stats_dump = a.get("--stats-dump", StatsFormat::parse)?;
+    let socket = a.raw("--socket").map(Path::new);
+    let metrics = a.raw("--metrics");
+    let model_dir = a.raw("--model-dir").map(Path::new);
     if metrics.is_some() && socket.is_none() {
-        eprintln!("--metrics needs --socket (the endpoint is served from the socket accept loop)");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage_error(
+            "--metrics needs --socket (the endpoint is served from the socket accept loop)",
+        ));
     }
 
     // a cached corpus arms every shard's regressor + stale-cache tiers;
     // like `estimate`, a cache miss degrades instead of blocking startup
-    // on a minute-long corpus build
+    // on a corpus build
     let corpus = corpus_if_cached().map(Arc::new);
     match &corpus {
         Some(c) => eprintln!(
@@ -1013,7 +873,7 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
         ),
     }
 
-    let server = match &model_dir {
+    let server = match model_dir {
         Some(dir) => {
             let store = match ModelStore::open(dir) {
                 Ok((store, report)) => {
@@ -1028,7 +888,7 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
                 }
                 Err(e) => {
                     eprintln!("serve: model store init failed: {e}");
-                    return ExitCode::from(EXIT_MODELSTORE);
+                    return Err(ExitCode::from(EXIT_MODELSTORE));
                 }
             };
             let base = corpus.as_ref().map(|c| c.dataset.clone());
@@ -1073,18 +933,18 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
             Server::new(cfg, predictor, corpus)
         }
     };
-    let result = match &socket {
+    let result = match socket {
         Some(path) => {
             eprintln!(
                 "serve: listening on {} ({} workers){}",
                 path.display(),
                 server.config().workers,
-                match &metrics {
+                match metrics {
                     Some(a) => format!(", metrics on http://{a}/metrics"),
                     None => String::new(),
                 }
             );
-            server.run_unix(path, metrics.as_deref())
+            server.run_unix(path, metrics)
         }
         None => {
             eprintln!(
@@ -1113,49 +973,45 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
             ExitCode::from(EXIT_BIND)
         }
     };
-    if let Some(fmt) = stats_dump {
-        emit_stats(fmt);
-    }
-    code
+    emit_stats(stats_dump);
+    Ok(code)
 }
 
 /// Inspect and steer the snapshot model store (`cnnperf models ...`).
 /// Every action opens the store first, so orphaned temp files are swept
 /// and corrupt snapshots quarantined as a side effect of any invocation.
-fn cmd_models(args: &[&str]) -> ExitCode {
+fn cmd_models(a: &Args) -> Exit {
     use cnnperf_core::ModelStore;
 
-    let action = match args.first() {
-        Some(a) if !a.starts_with("--") => *a,
-        _ => {
-            eprintln!("models needs an action: list | inspect V | pin V | unpin | rollback");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let action = a.pos[0];
+    let Some(dir) = a.raw("--model-dir").map(Path::new) else {
+        return Err(usage_error("models needs --model-dir DIR"));
     };
-    let dir = match args.iter().position(|a| *a == "--model-dir") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) => PathBuf::from(p),
-            None => {
-                eprintln!("--model-dir needs a directory path");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-        None => {
-            eprintln!("models needs --model-dir DIR");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let takes_version = matches!(action, "inspect" | "pin");
+    let version = match a.pos.get(1) {
+        Some(v) if takes_version => v.parse::<u64>().ok(),
+        Some(v) => return Err(usage_error(format!("models: unexpected argument `{v}`"))),
+        None => None,
     };
-    let version_arg = || -> Option<u64> { args.get(1).and_then(|v| v.parse().ok()) };
+    if takes_version && version.is_none() {
+        return Err(usage_error(format!(
+            "models {action} needs a version number"
+        )));
+    }
 
-    let (mut store, report) = match ModelStore::open(&dir) {
+    let (mut store, report) = match ModelStore::open(dir) {
         Ok(ok) => ok,
         Err(e) => {
             eprintln!("models: store init failed: {e}");
-            return ExitCode::from(EXIT_MODELSTORE);
+            return Err(ExitCode::from(EXIT_MODELSTORE));
         }
     };
-    match action {
-        "list" => {
+    let failed = |e: cnnperf_core::StoreError| {
+        eprintln!("models: {e}");
+        ExitCode::from(EXIT_MODELSTORE)
+    };
+    match (action, version) {
+        ("list", _) => {
             println!(
                 "model store {} — {} valid snapshot(s), {} quarantined, {} temp swept",
                 dir.display(),
@@ -1182,134 +1038,58 @@ fn cmd_models(args: &[&str]) -> ExitCode {
             if store.list().is_empty() {
                 println!("  (empty)");
             }
-            ExitCode::SUCCESS
         }
-        "inspect" => {
-            let Some(v) = version_arg() else {
-                eprintln!("models inspect needs a version number");
-                return ExitCode::from(EXIT_USAGE);
-            };
-            match store.load_version(v) {
-                Ok((info, predictor)) => {
-                    println!("version:    v{:06}", info.meta.version);
-                    println!("path:       {}", info.path.display());
-                    println!("kind:       {}", info.meta.kind);
-                    println!("train rows: {}", info.meta.train_rows);
-                    println!("note:       {}", info.meta.note);
-                    println!("checksum:   {:016x}", info.checksum);
-                    println!("features:   {}", predictor.feature_names.len());
-                    println!(
-                        "pinned:     {}",
-                        if store.pinned() == Some(v) {
-                            "yes"
-                        } else {
-                            "no"
-                        }
-                    );
-                    ExitCode::SUCCESS
+        ("inspect", Some(v)) => {
+            let (info, predictor) = store.load_version(v).map_err(failed)?;
+            println!("version:    v{:06}", info.meta.version);
+            println!("path:       {}", info.path.display());
+            println!("kind:       {}", info.meta.kind);
+            println!("train rows: {}", info.meta.train_rows);
+            println!("note:       {}", info.meta.note);
+            println!("checksum:   {:016x}", info.checksum);
+            println!("features:   {}", predictor.feature_names.len());
+            println!(
+                "pinned:     {}",
+                if store.pinned() == Some(v) {
+                    "yes"
+                } else {
+                    "no"
                 }
-                Err(e) => {
-                    eprintln!("models: {e}");
-                    ExitCode::from(EXIT_MODELSTORE)
-                }
-            }
+            );
         }
-        "pin" => {
-            let Some(v) = version_arg() else {
-                eprintln!("models pin needs a version number");
-                return ExitCode::from(EXIT_USAGE);
-            };
-            match store.pin(v) {
-                Ok(()) => {
-                    println!("pinned v{v} — cold starts serve it until unpin/rollback");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("models: {e}");
-                    ExitCode::from(EXIT_MODELSTORE)
-                }
-            }
+        ("pin", Some(v)) => {
+            store.pin(v).map_err(failed)?;
+            println!("pinned v{v} — cold starts serve it until unpin/rollback");
         }
-        "unpin" => {
+        ("unpin", _) => {
             store.unpin();
             println!("unpinned — cold starts return to the newest valid snapshot");
-            ExitCode::SUCCESS
         }
-        "rollback" => match store.demote_latest() {
-            Ok((demoted, now_newest)) => {
-                match now_newest {
-                    Some(v) => println!("demoted v{demoted}; newest valid is now v{v}"),
-                    None => println!("demoted v{demoted}; store is now empty"),
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("models: {e}");
-                ExitCode::from(EXIT_MODELSTORE)
-            }
+        ("rollback", _) => match store.demote_latest().map_err(failed)? {
+            (demoted, Some(v)) => println!("demoted v{demoted}; newest valid is now v{v}"),
+            (demoted, None) => println!("demoted v{demoted}; store is now empty"),
         },
-        other => {
-            eprintln!(
+        (other, _) => {
+            return Err(usage_error(format!(
                 "unknown models action `{other}` (list | inspect V | pin V | unpin | rollback)"
-            );
-            ExitCode::from(EXIT_USAGE)
+            )))
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parse a non-negative integer out of a snapshot `Value`.
-fn stat_u64(v: &serde_json::Value) -> Option<u64> {
-    match v {
-        serde_json::Value::Int(i) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-/// Validate a `--stats json` snapshot: find the last JSON line of `file`,
-/// check the schema version and overall shape, and enforce the counter
-/// invariants the instrumentation promises (tier outcomes sum to requests,
-/// cache hits + misses == lookups). Exits non-zero with a reason on any
-/// violation, so CI can gate on it.
 /// `cnnperf scrub <dir>` — audit and repair a persisted state directory.
 /// Exit 0 when the directory is clean or every repair succeeded;
 /// [`EXIT_SCRUB`] when damage remains (dry run or failed repair).
-fn cmd_scrub(rest: &[&str]) -> ExitCode {
-    let mut dir: Option<&str> = None;
-    let mut apply = true;
-    let mut stats: Option<StatsFormat> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--dry-run" => apply = false,
-            "--stats" => {
-                stats = rest.get(i + 1).and_then(|v| StatsFormat::parse(v));
-                if stats.is_none() {
-                    eprintln!("--stats needs json|prom");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("scrub: unknown flag {flag}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            d if dir.is_none() => dir = Some(d),
-            extra => {
-                eprintln!("scrub: unexpected argument {extra}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-        i += 1;
-    }
-    let Some(dir) = dir else {
-        eprintln!("scrub needs a directory to audit");
-        return ExitCode::from(EXIT_USAGE);
-    };
+fn cmd_scrub(a: &Args) -> Exit {
+    let dir = a.pos[0];
+    let apply = !a.has("--dry-run");
+    let stats = a.get("--stats", StatsFormat::parse)?;
     let report = match cnnperf_core::scrub_path(Path::new(dir), ScrubOptions { apply }) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("scrub: cannot audit {dir}: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     println!(
@@ -1330,425 +1110,122 @@ fn cmd_scrub(rest: &[&str]) -> ExitCode {
             f.repair
         );
     }
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
+    emit_stats(stats);
     if report.unrepaired() > 0 {
-        ExitCode::from(EXIT_SCRUB)
+        Ok(ExitCode::from(EXIT_SCRUB))
     } else {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     }
 }
 
-fn cmd_stats_check(file: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("stats-check: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
+/// Parse a non-negative integer out of a snapshot `Value`.
+fn stat_u64(v: &serde_json::Value) -> Option<u64> {
+    match v {
+        serde_json::Value::Int(i) if *i >= 0 => Some(*i as u64),
+        _ => None,
+    }
+}
+
+/// Validate a `--stats json` snapshot: find the last JSON line of `file`,
+/// check the schema version, the overall shape and each histogram's
+/// buckets, and evaluate the counter invariants of
+/// [`cnnperf_core::INVARIANTS`]. Exits 1 with a reason on any violation,
+/// so CI can gate on it.
+fn cmd_stats_check(a: &Args) -> Exit {
+    let file = a.pos[0];
+    let fail = |msg: String| {
+        eprintln!("stats-check: {msg}");
+        ExitCode::FAILURE
     };
-    let Some(line) = text.lines().rev().find(|l| l.trim_start().starts_with('{')) else {
-        eprintln!("stats-check: no JSON line found in {file}");
-        return ExitCode::FAILURE;
-    };
-    let snap = match serde_json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("stats-check: snapshot line is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let text =
+        std::fs::read_to_string(file).map_err(|e| fail(format!("cannot read {file}: {e}")))?;
+    let line = text.lines().rev().find(|l| l.trim_start().starts_with('{'));
+    let line = line.ok_or_else(|| fail(format!("no JSON line found in {file}")))?;
+    let snap = serde_json::parse(line.trim())
+        .map_err(|e| fail(format!("snapshot line is not valid JSON: {e}")))?;
     match snap.get("schema").and_then(stat_u64) {
         Some(1) => {}
-        other => {
-            eprintln!("stats-check: bad schema version {other:?} (want 1)");
-            return ExitCode::FAILURE;
-        }
+        other => return Err(fail(format!("bad schema version {other:?} (want 1)"))),
     }
     let Some(serde_json::Value::Obj(counters)) = snap.get("counters") else {
-        eprintln!("stats-check: `counters` object missing");
-        return ExitCode::FAILURE;
+        return Err(fail("`counters` object missing".into()));
     };
     let Some(serde_json::Value::Obj(histograms)) = snap.get("histograms") else {
-        eprintln!("stats-check: `histograms` object missing");
-        return ExitCode::FAILURE;
+        return Err(fail("`histograms` object missing".into()));
     };
-    let counter = |name: &str| -> Option<u64> {
-        counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| stat_u64(v))
-    };
+    let values: BTreeMap<String, u64> = counters
+        .iter()
+        .filter_map(|(k, v)| Some((k.clone(), stat_u64(v)?)))
+        .collect();
     let mut failures = 0u32;
-    fn check(failures: &mut u32, label: &str, lhs: u64, rhs: u64) {
-        if lhs != rhs {
-            eprintln!("stats-check: invariant violated: {label}: {lhs} != {rhs}");
-            *failures += 1;
-        }
-    }
-    if let Some(requests) = counter("engine.requests") {
-        let outcomes = counter("engine.outcome.served").unwrap_or(0)
-            + counter("engine.outcome.exhausted").unwrap_or(0)
-            + counter("engine.outcome.overloaded").unwrap_or(0);
-        check(
-            &mut failures,
-            "served+exhausted+overloaded == engine.requests",
-            outcomes,
-            requests,
-        );
-    }
-    if let Some(lookups) = counter("engine.cache.lookups") {
-        let traffic =
-            counter("engine.cache.hits").unwrap_or(0) + counter("engine.cache.misses").unwrap_or(0);
-        check(
-            &mut failures,
-            "hits+misses == engine.cache.lookups",
-            traffic,
-            lookups,
-        );
-    }
-    if let Some(lookups) = counter("analysis.cache.lookups") {
-        let traffic = counter("analysis.cache.hits").unwrap_or(0)
-            + counter("analysis.cache.misses").unwrap_or(0);
-        check(
-            &mut failures,
-            "hits+misses == analysis.cache.lookups",
-            traffic,
-            lookups,
-        );
-        // eviction can never outpace insertion
-        let misses = counter("analysis.cache.misses").unwrap_or(0);
-        if counter("analysis.cache.evictions").unwrap_or(0) > misses {
-            eprintln!("stats-check: invariant violated: analysis.cache.evictions > misses");
-            failures += 1;
-        }
-    }
-    // poly counting tier: every compile attempt either produced a
-    // polynomial or fell back to the interpreter — the split is exhaustive
-    if let Some(attempts) = counter("ptx.poly.attempts") {
-        let resolved =
-            counter("ptx.poly.compiled").unwrap_or(0) + counter("ptx.poly.fallbacks").unwrap_or(0);
-        check(
-            &mut failures,
-            "compiled+fallbacks == ptx.poly.attempts",
-            resolved,
-            attempts,
-        );
-        // a compiled kernel is always evaluated at least once (compilation
-        // only happens on the counting path), so warm poly traffic shows up
-        if counter("ptx.poly.compiled").unwrap_or(0) > 0
-            && counter("ptx.poly.evals").unwrap_or(0) == 0
-        {
-            eprintln!("stats-check: invariant violated: ptx.poly.compiled > 0 but evals == 0");
-            failures += 1;
-        }
-        // an evaluation-time fallback is a subset of evaluations
-        if counter("ptx.poly.eval_fallbacks").unwrap_or(0) > counter("ptx.poly.evals").unwrap_or(0)
-        {
-            eprintln!("stats-check: invariant violated: ptx.poly.eval_fallbacks > evals");
-            failures += 1;
-        }
-        // every shipped kernel template compiles on the poly tier since the
-        // tid-sloped strided-loop and gemm_micro guard fixes, so a
-        // compile-time fallback in a template-driven run is a regression
-        if counter("ptx.poly.fallbacks").unwrap_or(0) > 0 {
-            eprintln!(
-                "stats-check: invariant violated: ptx.poly.fallbacks = {} (want 0: \
-                 all shipped templates poly-compile)",
-                counter("ptx.poly.fallbacks").unwrap_or(0)
-            );
-            failures += 1;
-        }
-    }
-    // every corpus cell is either replayed from the journal or computed;
-    // the split must account for all of them
-    if counter("journal.replayed").is_some() || counter("journal.computed").is_some() {
-        let replayed = counter("journal.replayed").unwrap_or(0);
-        let computed = counter("journal.computed").unwrap_or(0);
-        let cells = counter("corpus.cells.ok").unwrap_or(0)
-            + counter("corpus.cells.degraded").unwrap_or(0)
-            + counter("corpus.cells.failed").unwrap_or(0)
-            + counter("corpus.cells.timeout").unwrap_or(0);
-        if cells > 0 {
-            check(
-                &mut failures,
-                "journal.replayed + journal.computed == corpus cells",
-                replayed + computed,
-                cells,
-            );
-        }
-    }
-    // a journaling build appends at least one record per computed cell
-    if let Some(appends) = counter("journal.appends") {
-        if appends < counter("journal.computed").unwrap_or(0) {
-            eprintln!("stats-check: invariant violated: journal.appends < journal.computed");
-            failures += 1;
-        }
-    }
-    // every scanned snapshot is either loaded or quarantined — the store
-    // validates exclusively inside scan(), so the split is exhaustive
-    if let Some(scanned) = counter("modelstore.snapshots.scanned") {
-        let resolved = counter("modelstore.snapshots.loaded").unwrap_or(0)
-            + counter("modelstore.snapshots.quarantined").unwrap_or(0);
-        check(
-            &mut failures,
-            "loaded+quarantined == modelstore.snapshots.scanned",
-            resolved,
-            scanned,
-        );
-    }
-    // lifecycle: every retrain that reaches the shadow gate is promoted
-    // or rejected, never both; cycles skipped for lack of data or lost
-    // races don't reach the gate, so the sum is bounded by retrains
-    if let Some(retrains) = counter("lifecycle.retrains") {
-        let gated = counter("lifecycle.promotions").unwrap_or(0)
-            + counter("lifecycle.rejections").unwrap_or(0);
-        if gated > retrains {
-            eprintln!(
-                "stats-check: invariant violated: lifecycle.promotions + rejections > retrains"
-            );
-            failures += 1;
-        }
-        // a shadow evaluation precedes every gate decision
-        if gated > counter("lifecycle.shadow.evals").unwrap_or(0) {
-            eprintln!("stats-check: invariant violated: gate decisions > lifecycle.shadow.evals");
-            failures += 1;
-        }
-    }
-    // a rollback only ever follows a drift trip
-    if counter("lifecycle.rollbacks").unwrap_or(0) > counter("lifecycle.drift.trips").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: lifecycle.rollbacks > lifecycle.drift.trips");
+    for v in cnnperf_core::check_invariants(&values) {
+        eprintln!("stats-check: invariant violated: {v}");
         failures += 1;
     }
-    // every promotion that has a store attached writes a snapshot (and
-    // cold-start training writes one too), so written >= promotions
-    // whenever a store was in play
-    if let Some(written) = counter("modelstore.snapshots.written") {
-        if counter("lifecycle.promotions").unwrap_or(0) > written {
-            eprintln!(
-                "stats-check: invariant violated: lifecycle.promotions > modelstore.snapshots.written"
-            );
-            failures += 1;
-        }
-    }
-    // vfs fault injection can only tag operations that actually ran
-    if counter("vfs.injected").unwrap_or(0) > counter("vfs.ops").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: vfs.injected > vfs.ops");
-        failures += 1;
-    }
-    // sync calls are themselves vfs operations
-    if counter("vfs.sync_file").unwrap_or(0) + counter("vfs.sync_dir").unwrap_or(0)
-        > counter("vfs.ops").unwrap_or(0)
-    {
-        eprintln!("stats-check: invariant violated: vfs.sync_file + vfs.sync_dir > vfs.ops");
-        failures += 1;
-    }
-    // scrub never repairs more than it found
-    if counter("scrub.repaired").unwrap_or(0) > counter("scrub.findings").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: scrub.repaired > scrub.findings");
-        failures += 1;
-    }
-    // the watchdog only fires tokens of cells it first declared stale
-    if counter("supervise.cancelled").unwrap_or(0) > counter("supervise.stale_cells").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: supervise.cancelled > supervise.stale_cells");
-        failures += 1;
-    }
-    // server admission: every request is admitted, shed, or rejected while
-    // draining — same determinism contract as the engine.* counters
-    if let Some(requests) = counter("server.requests") {
-        let admitted = counter("server.admitted").unwrap_or(0);
-        let shed = counter("server.shed").unwrap_or(0);
-        check(
-            &mut failures,
-            "admitted+shed+rejected.draining == server.requests",
-            admitted + shed + counter("server.rejected.draining").unwrap_or(0),
-            requests,
-        );
-        let shed_by_class = counter("server.shed.interactive").unwrap_or(0)
-            + counter("server.shed.batch").unwrap_or(0)
-            + counter("server.shed.best-effort").unwrap_or(0);
-        check(
-            &mut failures,
-            "sum(server.shed.<class>) == server.shed",
-            shed_by_class,
-            shed,
-        );
-        // a coalesced request is by definition an admitted one
-        if counter("server.coalesced").unwrap_or(0) > admitted {
-            eprintln!("stats-check: invariant violated: server.coalesced > server.admitted");
-            failures += 1;
-        }
-        // every admitted request resolves at most once: computed or
-        // drain-flushed, never both
-        let resolved =
-            counter("server.completed").unwrap_or(0) + counter("server.drain.flushed").unwrap_or(0);
-        if resolved > admitted {
-            eprintln!(
-                "stats-check: invariant violated: server.completed + server.drain.flushed > server.admitted"
-            );
-            failures += 1;
-        }
-        // drain-phase resolutions are a subset of all resolutions
-        if counter("server.drained").unwrap_or(0) > resolved {
-            eprintln!(
-                "stats-check: invariant violated: server.drained > completed + drain.flushed"
-            );
-            failures += 1;
-        }
-    }
-    for (name, v) in histograms {
-        let (count, sum) = (
-            v.get("count").and_then(stat_u64),
-            v.get("sum").and_then(stat_u64),
-        );
-        if count.is_none() || sum.is_none() {
-            eprintln!("stats-check: histogram `{name}` missing count/sum");
-            failures += 1;
-            continue;
-        }
-        let bucket_total: u64 = match v.get("buckets") {
-            Some(serde_json::Value::Obj(buckets)) => {
-                buckets.iter().filter_map(|(_, c)| stat_u64(c)).sum()
+    for (name, h) in histograms {
+        let count = h.get("count").and_then(stat_u64);
+        let problem = match (count, h.get("sum").and_then(stat_u64), h.get("buckets")) {
+            (Some(count), Some(_), Some(serde_json::Value::Obj(buckets))) => {
+                let total: u64 = buckets.iter().filter_map(|(_, c)| stat_u64(c)).sum();
+                (total != count).then(|| format!("bucket sum {total} != count {count}"))
             }
-            _ => {
-                eprintln!("stats-check: histogram `{name}` missing buckets");
-                failures += 1;
-                continue;
-            }
+            (Some(_), Some(_), _) => Some("missing buckets".to_string()),
+            _ => Some("missing count/sum".to_string()),
         };
-        check(
-            &mut failures,
-            &format!("histogram `{name}` bucket sum == count"),
-            bucket_total,
-            count.unwrap_or(0),
-        );
+        if let Some(problem) = problem {
+            eprintln!("stats-check: histogram `{name}` {problem}");
+            failures += 1;
+        }
     }
     if failures > 0 {
-        eprintln!("stats-check: {failures} failure(s) in {file}");
-        return ExitCode::FAILURE;
+        return Err(fail(format!("{failures} failure(s) in {file}")));
     }
     println!(
         "stats OK: {} counters, {} histograms",
         counters.len(),
         histograms.len()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Strip the global `--count-mode <mode>` flag (valid anywhere on the
-/// command line) and install the mode process-wide before dispatch, so
-/// every counting entry point — engine tiers, corpus builds, one-shot
-/// analyses — inherits it without plumbing.
-fn take_count_mode(args: &mut Vec<String>) -> Result<(), String> {
-    while let Some(i) = args.iter().position(|a| a == "--count-mode") {
-        let Some(v) = args.get(i + 1) else {
-            return Err("--count-mode needs a value (auto|poly|interp|bruteforce)".into());
-        };
-        let mode: ptx_analysis::CountMode = v.parse()?;
-        ptx_analysis::set_default_count_mode(mode);
-        args.drain(i..=i + 1);
-    }
-    Ok(())
+fn cmd_ptx(a: &Args) -> Exit {
+    let model = model_or_exit(a.pos[0]);
+    let plan = ptx_codegen::lower(&model, DEFAULT_SM_TARGET).expect("lowering");
+    print!("{}", ptx::printer::module(&plan.module));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_dot(a: &Args) -> Exit {
+    print!("{}", cnn_ir::to_dot(&model_or_exit(a.pos[0])));
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = take_count_mode(&mut args) {
-        eprintln!("{e}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let mut it = args.iter().map(|s| s.as_str());
-    match it.next() {
-        Some("list") => cmd_list(),
-        Some("analyze") => match it.next() {
-            Some(m) => cmd_analyze(m),
-            None => return usage(),
-        },
-        Some("profile") => match (it.next(), it.next()) {
-            (Some(m), Some(d)) => cmd_profile(m, d),
-            _ => return usage(),
-        },
-        Some("predict") => {
-            let rest: Vec<&str> = it.collect();
-            let Some(model) = rest.first() else {
-                return usage();
-            };
-            let all = rest.contains(&"--all-devices");
-            let kind = regressor_of(
-                rest.iter()
-                    .position(|a| *a == "--regressor")
-                    .and_then(|i| rest.get(i + 1).copied()),
-            );
-            let device = rest.get(1).filter(|d| !d.starts_with("--")).copied();
-            cmd_predict(model, device, all, kind);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<&str> = argv.iter().map(String::as_str).collect();
+    // the command is the first word that is not `--count-mode` or its value
+    let is_command =
+        |i: usize| !args[i].starts_with("--") && (i == 0 || args[i - 1] != "--count-mode");
+    let Some(at) = (0..args.len()).find(|&i| is_command(i)) else {
+        return usage();
+    };
+    let name = args.remove(at);
+    let Some(command) = COMMANDS.iter().find(|c| c.0 == name) else {
+        return usage();
+    };
+    let run = || -> Exit {
+        let parsed = Args::parse(command, &args)?;
+        if parsed.pos.len() < command.2 {
+            return Err(usage());
         }
-        Some("rank") => {
-            let rest: Vec<&str> = it.collect();
-            let Some(model) = rest.first().filter(|m| !m.starts_with("--")) else {
-                return usage();
-            };
-            let flag_value = |flag: &str| {
-                rest.iter()
-                    .position(|a| *a == flag)
-                    .and_then(|i| rest.get(i + 1).copied())
-            };
-            let stats = flag_value("--stats").and_then(StatsFormat::parse);
-            let journal_dir = flag_value("--journal-dir").map(Path::new);
-            let resume = rest.contains(&"--resume");
-            if resume && journal_dir.is_none() {
-                eprintln!("--resume needs --journal-dir (nothing to resume from)");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            let cell_timeout_ms = match flag_value("--cell-timeout-ms") {
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("--cell-timeout-ms needs a positive integer");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                },
-                None => None,
-            };
-            return cmd_rank(model, stats, journal_dir, resume, cell_timeout_ms);
+        // installed process-wide before dispatch, so every counting entry
+        // point — engine tiers, corpus builds, one-shot analyses —
+        // inherits it without plumbing
+        let mode = parsed.get("--count-mode", str::parse::<ptx_analysis::CountMode>)?;
+        if let Some(mode) = mode {
+            ptx_analysis::set_default_count_mode(mode);
         }
-        Some("corpus") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_corpus(&rest);
-        }
-        Some("estimate") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_estimate(&rest);
-        }
-        Some("serve") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_serve(&rest);
-        }
-        Some("models") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_models(&rest);
-        }
-        Some("scrub") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_scrub(&rest);
-        }
-        Some("stats-check") => match it.next() {
-            Some(f) => return cmd_stats_check(f),
-            None => return usage(),
-        },
-        Some("ptx") => match it.next() {
-            Some(m) => {
-                let model = model_or_exit(m);
-                let plan = ptx_codegen::lower(&model, "sm_61").expect("lowering");
-                print!("{}", ptx::printer::module(&plan.module));
-            }
-            None => return usage(),
-        },
-        Some("dot") => match it.next() {
-            Some(m) => print!("{}", cnn_ir::to_dot(&model_or_exit(m))),
-            None => return usage(),
-        },
-        _ => return usage(),
-    }
-    ExitCode::SUCCESS
+        (command.4)(&parsed)
+    };
+    run().unwrap_or_else(|code| code)
 }

@@ -40,6 +40,46 @@ fn unknown_flag_is_usage_error() {
 }
 
 #[test]
+fn malformed_flags_are_usage_errors_on_every_command() {
+    // its own corpus path: a command that let a bad flag through would go
+    // on to build the corpus and warm the cache the other tests expect absent
+    let corpus = scratch("strict-parse-corpus.json");
+    for args in [
+        &["rank", "alexnet", "--bogus"][..],
+        &["rank", "alexnet", "--stats", "yaml"],
+        &["predict", "alexnet", "--regressor"],
+        &["analyze", "alexnet", "--bogus"],
+        &["serve", "--workers", "0"],
+        &["serve", "--max-frame-bytes", "10"],
+    ] {
+        let code = exit_code(cnnperf().env("CNNPERF_CORPUS", &corpus).args(args));
+        assert_eq!(code, 2, "{args:?}");
+    }
+    assert!(
+        !corpus.exists(),
+        "a usage error went on to build the corpus"
+    );
+}
+
+#[test]
+fn stats_check_of_a_broken_invariant_exits_1() {
+    let snap = scratch("stats-snapshot.json");
+    let check = |served: u32| {
+        let counters = format!(r#""engine.requests":2,"engine.outcome.served":{served}"#);
+        let line = format!(r#"{{"schema":1,"counters":{{{counters}}},"histograms":{{}}}}"#);
+        std::fs::write(&snap, line).expect("write snapshot");
+        exit_code(cnnperf().args(["stats-check", snap.to_str().expect("utf8 path")]))
+    };
+    assert_eq!(check(2), 0);
+    assert_eq!(
+        check(1),
+        1,
+        "served + exhausted + overloaded != requests passed"
+    );
+    let _ = std::fs::remove_file(&snap);
+}
+
+#[test]
 fn unknown_model_is_usage_error() {
     assert_eq!(exit_code(cnnperf().args(["analyze", "nonexistent-net"])), 2);
 }

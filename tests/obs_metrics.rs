@@ -90,6 +90,7 @@ fn tier_outcomes_sum_to_requests_and_cache_traffic_balances() {
             "tier {tier}: {d:?}"
         );
     }
+    assert_eq!(cnnperf_core::check_invariants(&d), vec![], "{d:?}");
 }
 
 #[test]
@@ -186,6 +187,7 @@ fn chaos_faults_show_up_in_failure_counters() {
         attempts,
         "{d:?}"
     );
+    assert_eq!(cnnperf_core::check_invariants(&d), vec![], "{d:?}");
 }
 
 #[test]
