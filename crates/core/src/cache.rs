@@ -1,22 +1,18 @@
 //! Crash-safe on-disk corpus cache.
 //!
-//! The corpus takes ~1 min to build, so both the CLI and the bench
-//! harness cache it as JSON. A process killed mid-write (or a disk that
-//! lies) must never leave a half-written file that poisons every later
-//! run, so the cache is defended on both ends:
-//!
-//! - **Writes** go to a temp file in the same directory and are published
-//!   with an atomic `rename`, so readers only ever see nothing or a
-//!   complete file.
-//! - **Reads** validate an envelope carrying a schema version and an
-//!   FNV-1a checksum of the serialized corpus. Anything that fails to
-//!   parse, carries the wrong schema, or fails the checksum is quarantined
-//!   by renaming it to `<name>.corrupt` (with a warning on stderr) so the
-//!   evidence survives for debugging while the cache slot frees up for a
-//!   clean rebuild.
+//! The corpus takes about 6 s to build on two cores, so both the CLI and
+//! the bench harness cache it as JSON. A process killed mid-write (or a
+//! disk that lies) must never leave a half-written file that poisons
+//! every later run. The cache keeps its file through [`crate::durable`]:
+//! writes are published atomically, and a read validates an envelope
+//! carrying a schema version and a checksum of the corpus. A file that
+//! fails validation is quarantined as `<name>.corrupt` (with a warning
+//! on stderr), so the evidence survives while the cache slot frees up for
+//! a clean rebuild.
 
+use crate::durable;
 use crate::pipeline::Corpus;
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
+use crate::vfs::{real_fs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -35,7 +31,7 @@ pub const CORPUS_CACHE_SCHEMA: u32 = 1;
 #[derive(Debug, Serialize, Deserialize)]
 struct CacheEnvelope {
     schema_version: u32,
-    /// FNV-1a over the canonical (`serde_json::to_string`) corpus JSON.
+    /// [`durable::checksum`] of the corpus.
     checksum: u64,
     corpus: Corpus,
 }
@@ -52,13 +48,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn corpus_checksum(corpus: &Corpus) -> u64 {
-    match serde_json::to_string(corpus) {
-        Ok(json) => fnv1a(json.as_bytes()),
-        Err(_) => 0,
-    }
-}
-
 /// Why a cache load produced nothing usable.
 #[derive(Debug, PartialEq, Eq)]
 pub enum CacheMiss {
@@ -69,28 +58,17 @@ pub enum CacheMiss {
     Quarantined(String),
 }
 
-/// Validate the raw bytes of a cache file without loading the corpus.
-/// `Ok(())` means a well-formed envelope with matching schema and
-/// checksum; `Err` says what is wrong (shared with `cnnperf scrub`).
-pub(crate) fn validate_envelope(text: &str) -> Result<(), String> {
-    match serde_json::from_str::<CacheEnvelope>(text) {
-        Err(e) => Err(format!("unparseable envelope: {e:?}")),
-        Ok(env) if env.schema_version != CORPUS_CACHE_SCHEMA => Err(format!(
-            "schema version {} (want {})",
-            env.schema_version, CORPUS_CACHE_SCHEMA
-        )),
-        Ok(env) => {
-            let actual = corpus_checksum(&env.corpus);
-            if actual != env.checksum {
-                Err(format!(
-                    "checksum mismatch: stored {:#018x}, computed {actual:#018x}",
-                    env.checksum
-                ))
-            } else {
-                Ok(())
-            }
-        }
-    }
+/// Decode and validate the raw bytes of a cache file: the one envelope
+/// check, shared by [`load_corpus_on`] and `cnnperf scrub`. `Err` says
+/// what is wrong.
+pub(crate) fn open_envelope(bytes: &[u8]) -> Result<Corpus, String> {
+    let CacheEnvelope {
+        schema_version,
+        checksum,
+        corpus,
+    } = durable::parse_envelope(bytes)?;
+    durable::check_envelope(schema_version, CORPUS_CACHE_SCHEMA, checksum, &corpus)?;
+    Ok(corpus)
 }
 
 /// Load a corpus from `path`, validating the crash-safety envelope.
@@ -103,64 +81,27 @@ pub fn load_corpus(path: &Path) -> Result<Corpus, CacheMiss> {
 /// [`load_corpus`] against an explicit [`Vfs`] (fault injection, crash
 /// images).
 pub fn load_corpus_on(vfs: &dyn Vfs, path: &Path) -> Result<Corpus, CacheMiss> {
-    let text = match vfs.read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
+    let Ok(bytes) = vfs.read(path) else {
+        CACHE_MISSES.inc();
+        return Err(CacheMiss::Absent);
+    };
+    match open_envelope(&bytes) {
+        Ok(corpus) => {
+            CACHE_HITS.inc();
+            Ok(corpus)
+        }
+        Err(reason) => {
+            durable::quarantine_logged(vfs, path, "corpus cache", &reason);
             CACHE_MISSES.inc();
-            return Err(CacheMiss::Absent);
+            CACHE_QUARANTINED.inc();
+            Err(CacheMiss::Quarantined(reason))
         }
-    };
-    let reason = match serde_json::from_str::<CacheEnvelope>(&text) {
-        Err(e) => format!("unparseable envelope: {e:?}"),
-        Ok(env) if env.schema_version != CORPUS_CACHE_SCHEMA => format!(
-            "schema version {} (want {})",
-            env.schema_version, CORPUS_CACHE_SCHEMA
-        ),
-        Ok(env) => {
-            let actual = corpus_checksum(&env.corpus);
-            if actual != env.checksum {
-                format!(
-                    "checksum mismatch: stored {:#018x}, computed {actual:#018x}",
-                    env.checksum
-                )
-            } else {
-                CACHE_HITS.inc();
-                return Ok(env.corpus);
-            }
-        }
-    };
-    let quarantine = quarantine_path(path);
-    match vfs.rename(path, &quarantine) {
-        Ok(()) => {
-            // make the quarantine itself durable so a crash right after
-            // cannot resurrect the corrupt file under its live name
-            let _ = sync_parent_dir(vfs, path);
-            eprintln!(
-                "warning: corpus cache {} is corrupt ({reason}); quarantined as {}",
-                path.display(),
-                quarantine.display()
-            )
-        }
-        Err(e) => eprintln!(
-            "warning: corpus cache {} is corrupt ({reason}); quarantine failed: {e}",
-            path.display()
-        ),
     }
-    CACHE_MISSES.inc();
-    CACHE_QUARANTINED.inc();
-    Err(CacheMiss::Quarantined(reason))
 }
 
-fn quarantine_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    path.with_file_name(name)
-}
-
-/// Store a corpus at `path` crash-safely: envelope with schema + checksum,
-/// written to a sibling temp file, fsynced, published atomically via
-/// rename, parent directory fsynced. After this returns `Ok`, the file
-/// survives a power loss.
+/// Store a corpus at `path` crash-safely: an envelope with schema and
+/// checksum, published through [`durable::publish`]. After this returns
+/// `Ok`, the file survives a power loss.
 pub fn store_corpus(path: &Path, corpus: &Corpus) -> io::Result<()> {
     store_corpus_on(&*real_fs(), path, corpus)
 }
@@ -174,16 +115,13 @@ pub fn store_corpus_on(vfs: &dyn Vfs, path: &Path, corpus: &Corpus) -> io::Resul
     }
     let envelope = CacheEnvelope {
         schema_version: CORPUS_CACHE_SCHEMA,
-        checksum: corpus_checksum(corpus),
+        checksum: durable::checksum(corpus),
         // cloning the corpus once per store is noise next to the build
         corpus: corpus.clone(),
     };
     let json = serde_json::to_string(&envelope)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    durable_replace(vfs, &tmp, path, json.as_bytes())?;
+    durable::publish(vfs, path, json.as_bytes())?;
     CACHE_STORES.inc();
     Ok(())
 }
@@ -283,6 +221,27 @@ mod tests {
             }
             other => panic!("expected checksum quarantine, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn high_bit_flip_is_quarantined_not_absent() {
+        let dir = tmp_dir("highbit");
+        let path = dir.join("corpus.json");
+        store_corpus(&path, &tiny_corpus()).unwrap();
+        // one flipped high bit makes the file invalid UTF-8: that is
+        // corruption to keep as evidence, not a clean miss to overwrite
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        assert!(bytes[mid].is_ascii());
+        bytes[mid] |= 0x80;
+        fs::write(&path, bytes).unwrap();
+        match load_corpus(&path) {
+            Err(CacheMiss::Quarantined(reason)) => {
+                assert!(reason.contains("utf-8"), "reason: {reason}")
+            }
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        assert!(dir.join("corpus.json.corrupt").exists());
     }
 
     #[test]

@@ -96,18 +96,9 @@ impl From<ProfileFault> for ProfileError {
 pub fn profile_model(
     model: &ModelGraph,
 ) -> Result<(CnnProfile, LaunchPlan, PlanCount, ModelSummary), ProfileError> {
-    profile_model_budgeted(model, &ptx_analysis::ExecBudget::default())
-}
-
-/// [`profile_model`] under an execution budget: the budget's cancellation
-/// token and step fuel bound the dynamic code analysis, so a
-/// deadline-driven caller (the regressor tier of the estimation engine)
-/// can abandon a DCA that will not finish in time.
-pub fn profile_model_budgeted(
-    model: &ModelGraph,
-    budget: &ptx_analysis::ExecBudget,
-) -> Result<(CnnProfile, LaunchPlan, PlanCount, ModelSummary), ProfileError> {
-    profile_model_with_target(model, DEFAULT_SM_TARGET, budget)
+    let budget = ptx_analysis::ExecBudget::default();
+    profile_model_report(model, DEFAULT_SM_TARGET, &budget)
+        .map(|(p, plan, c, s, _)| (p, plan, c, s))
 }
 
 /// Default PTX lowering target for device-independent profiling (the
@@ -115,21 +106,13 @@ pub fn profile_model_budgeted(
 /// emitted module).
 pub const DEFAULT_SM_TARGET: &str = "sm_61";
 
-/// [`profile_model_budgeted`] with an explicit `sm_*` lowering target, so
-/// device-specific callers (the estimation engine's detailed tier) get a
-/// plan stamped for the request's device instead of a hardcoded one.
-pub fn profile_model_with_target(
-    model: &ModelGraph,
-    target: &str,
-    budget: &ptx_analysis::ExecBudget,
-) -> Result<(CnnProfile, LaunchPlan, PlanCount, ModelSummary), ProfileError> {
-    profile_model_report(model, target, budget).map(|(p, plan, c, s, _)| (p, plan, c, s))
-}
-
-/// [`profile_model_with_target`] plus the [`CountingReport`] describing
-/// which counting tier the DCA ran on (compiled trip-count polynomials vs
-/// the dense interpreter) — the provenance the analysis cache stores
-/// alongside each [`AnalyzedModel`](crate::analysis_cache::AnalyzedModel).
+/// [`profile_model`] with an explicit `sm_*` lowering target and
+/// execution budget, plus the [`CountingReport`] describing which counting
+/// tier the DCA ran on (compiled trip-count polynomials vs the dense
+/// interpreter) — the provenance the analysis cache stores alongside each
+/// [`AnalyzedModel`](crate::analysis_cache::AnalyzedModel). The budget's
+/// cancellation token and step fuel bound the dynamic code analysis, so a
+/// deadline-driven caller can abandon a DCA that will not finish in time.
 pub fn profile_model_report(
     model: &ModelGraph,
     target: &str,

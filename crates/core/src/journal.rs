@@ -8,18 +8,16 @@
 //! build moves on, so a killed process (or a power loss) loses at most
 //! the cell that was in flight.
 //!
-//! Defenses mirror [`crate::cache`]:
+//! Files are kept through [`crate::durable`]:
 //!
 //! - **Segmented**: records rotate into `segment-NNNNN.jsonl` files every
 //!   [`SEGMENT_RECORDS`] appends, bounding how much data one torn tail can
 //!   take down.
 //! - **Checksummed**: every line carries an FNV-1a hash of its JSON
 //!   payload; replay verifies it before trusting the record.
-//! - **Quarantined**: the first bad line stops replay for its segment —
-//!   the segment is renamed to `<name>.corrupt` (evidence preserved), its
-//!   valid prefix is rewritten in place via temp file + fsync + atomic
-//!   rename + parent-dir fsync, and every later segment is quarantined
-//!   wholesale (ordering after a tear is no longer trustworthy).
+//! - **Quarantined**: the first bad line (torn, flipped, or not UTF-8)
+//!   ends a segment's valid prefix; see [`walk_segments`], the one walk
+//!   that replay and `cnnperf scrub` share.
 //! - **Config-guarded**: the first record of a journal is the
 //!   [`BuildMeta`] (sm target, runs, retry policy, fault profile, strict
 //!   flag); resuming under a different configuration is refused rather
@@ -41,8 +39,9 @@
 //! uninterrupted build under [`crate::pipeline::Corpus::canonical_json`].
 
 use crate::cache::fnv1a;
+use crate::durable;
 use crate::features::CnnProfile;
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs, VfsFile};
+use crate::vfs::{real_fs, Vfs, VfsFile};
 use gpu_sim::{FaultProfile, RetryPolicy, RobustProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -208,17 +207,10 @@ fn list_segments(vfs: &dyn Vfs, dir: &Path) -> std::io::Result<Vec<(u32, PathBuf
     Ok(segs)
 }
 
-fn quarantine(vfs: &dyn Vfs, path: &Path) -> std::io::Result<()> {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    vfs.rename(path, &path.with_file_name(name))?;
-    sync_parent_dir(vfs, path)
-}
-
 /// Decode one journal line (`{checksum:016x} {json}`); `None` on any
-/// corruption (torn write, flipped bit, bad JSON).
-fn decode_line(line: &str) -> Option<JournalRecord> {
-    let (hash_s, json) = line.split_once(' ')?;
+/// corruption (torn write, flipped bit, bad JSON, not UTF-8).
+fn decode_line(line: &[u8]) -> Option<JournalRecord> {
+    let (hash_s, json) = std::str::from_utf8(line).ok()?.split_once(' ')?;
     let stored = u64::from_str_radix(hash_s, 16).ok()?;
     if fnv1a(json.as_bytes()) != stored {
         return None;
@@ -226,18 +218,73 @@ fn decode_line(line: &str) -> Option<JournalRecord> {
     serde_json::from_str(json).ok()
 }
 
-/// Split raw segment text into its valid prefix (as re-encodable lines)
-/// and whether a corrupt tail was found. Shared with `cnnperf scrub`.
-pub(crate) fn segment_valid_prefix(text: &str) -> (Vec<&str>, bool) {
-    let mut valid = Vec::new();
-    for line in text.lines() {
-        if decode_line(line).is_some() {
-            valid.push(line);
-        } else {
-            return (valid, true);
+/// Why [`walk_segments`] stopped trusting a segment.
+pub(crate) enum Damage {
+    /// The segment could not be read.
+    Unreadable(std::io::Error),
+    /// A line failed to decode after `valid` good records, the bytes of
+    /// which are `prefix`.
+    CorruptTail { valid: usize, prefix: Vec<u8> },
+    /// A live segment after the damaged segment `after` (the writer opens
+    /// segment N+1 only once N is complete).
+    Suspect { after: u32 },
+}
+
+/// The journal's repair of a damaged segment: quarantine it, then publish
+/// its valid prefix (if any) under the live name. `Ok(true)` when a
+/// prefix was published.
+pub(crate) fn repair_segment(vfs: &dyn Vfs, path: &Path, damage: &Damage) -> std::io::Result<bool> {
+    durable::quarantine(vfs, path)?;
+    match damage {
+        Damage::CorruptTail { prefix, .. } if !prefix.is_empty() => {
+            durable::publish(vfs, path, prefix).map(|()| true)
         }
+        _ => Ok(false),
     }
-    (valid, false)
+}
+
+/// The one segment walk, shared by replay and `cnnperf scrub`: the live
+/// segments of `dir` in index order, each valid record to `on_record`.
+/// The first damaged segment and every later one go to `on_damage`, which
+/// decides whether to [`repair_segment`] it; an `Err` from it stops the
+/// walk. Lines split like [`str::lines`], but on bytes, so a line that is
+/// not UTF-8 ends the valid prefix like a torn one.
+pub(crate) fn walk_segments(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    mut on_record: impl FnMut(JournalRecord),
+    mut on_damage: impl FnMut(PathBuf, Damage) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut first_damaged = None;
+    for (index, path) in list_segments(vfs, dir)? {
+        let damage = match first_damaged {
+            Some(after) => Damage::Suspect { after },
+            None => match vfs.read(&path) {
+                Err(e) => Damage::Unreadable(e),
+                Ok(mut prefix) => {
+                    let (mut end, mut valid) = (0, 0);
+                    for raw in prefix.split_inclusive(|b| *b == b'\n') {
+                        let line = raw
+                            .strip_suffix(b"\n")
+                            .map_or(raw, |l| l.strip_suffix(b"\r").unwrap_or(l));
+                        let Some(record) = decode_line(line) else {
+                            break;
+                        };
+                        on_record(record);
+                        (end, valid) = (end + raw.len(), valid + 1);
+                    }
+                    if end == prefix.len() {
+                        continue;
+                    }
+                    prefix.truncate(end);
+                    Damage::CorruptTail { valid, prefix }
+                }
+            },
+        };
+        first_damaged.get_or_insert(index);
+        on_damage(path, damage)?;
+    }
+    Ok(())
 }
 
 fn encode_line(record: &JournalRecord) -> Result<String, JournalError> {
@@ -303,31 +350,43 @@ impl Journal {
     ) -> Result<(Journal, Replay), JournalError> {
         vfs.create_dir_all(dir)?;
         let mut replay = Replay::default();
-        let mut next_index = 0u32;
+        let (mut next_index, mut corrupt_segments) = (0u32, 0);
 
-        // sweep tmp litter from crashed prefix-rewrites before replaying,
-        // exactly like modelstore::open does for snapshot tmp files
-        for name in vfs.read_dir(dir)? {
-            if name.contains(".tmp.") {
-                let path = dir.join(&name);
-                if vfs.remove_file(&path).is_ok() {
-                    JOURNAL_TMP_SWEPT.inc();
-                    replay.tmp_swept += 1;
-                    eprintln!(
-                        "note: swept stale journal temp file {} (crashed rewrite)",
-                        path.display()
-                    );
-                }
+        // sweep temp files from crashed prefix rewrites before replaying
+        for (path, removed) in durable::sweep_tmp(&*vfs, dir, true)? {
+            if removed.is_ok() {
+                JOURNAL_TMP_SWEPT.inc();
+                replay.tmp_swept += 1;
+                eprintln!(
+                    "note: swept stale journal temp file {} (crashed rewrite)",
+                    path.display()
+                );
             }
-        }
-        if replay.tmp_swept > 0 {
-            let _ = vfs.sync_dir(dir);
         }
 
         if resume {
-            let swept = replay.tmp_swept;
-            replay = replay_segments(&*vfs, dir)?;
-            replay.tmp_swept = swept;
+            // replay repairs from the first damaged segment onward; an I/O
+            // error aborts the open
+            walk_segments(
+                &*vfs,
+                dir,
+                |record| apply_record(&mut replay, record),
+                |path, damage| {
+                    match damage {
+                        Damage::Unreadable(e) => return Err(e),
+                        Damage::CorruptTail { .. } => eprintln!(
+                            "warning: journal segment {} has a corrupt tail; quarantining as .corrupt",
+                            path.display()
+                        ),
+                        Damage::Suspect { .. } => {}
+                    }
+                    repair_segment(&*vfs, &path, &damage)?;
+                    JOURNAL_CORRUPT_SEGMENTS.inc();
+                    corrupt_segments += 1;
+                    Ok(())
+                },
+            )?;
+            replay.corrupt_segments = corrupt_segments;
             if let Some(found) = &replay.meta {
                 if found != meta {
                     return Err(JournalError::ConfigMismatch {
@@ -452,60 +511,6 @@ impl Journal {
             Err(e) => Err(e.into()),
         }
     }
-}
-
-/// Replay all live segments in `dir`, quarantining from the first corrupt
-/// line onward.
-fn replay_segments(vfs: &dyn Vfs, dir: &Path) -> Result<Replay, JournalError> {
-    let mut replay = Replay::default();
-    let segments = list_segments(vfs, dir)?;
-    let mut poisoned_from: Option<usize> = None;
-
-    for (pos, (_, path)) in segments.iter().enumerate() {
-        let text = vfs.read_to_string(path)?;
-        let (valid_lines, bad) = segment_valid_prefix(&text);
-        for line in &valid_lines {
-            if let Some(record) = decode_line(line) {
-                apply_record(&mut replay, record);
-            }
-        }
-        if bad {
-            let mut valid_prefix = String::new();
-            for line in &valid_lines {
-                valid_prefix.push_str(line);
-                valid_prefix.push('\n');
-            }
-            eprintln!(
-                "warning: journal segment {} has a corrupt tail; quarantining as .corrupt",
-                path.display()
-            );
-            quarantine(vfs, path)?;
-            JOURNAL_CORRUPT_SEGMENTS.inc();
-            replay.corrupt_segments += 1;
-            if !valid_prefix.is_empty() {
-                // keep the valid prefix under the original name, written
-                // durably (temp + fsync + rename + dir fsync)
-                let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-                tmp_name.push(format!(".tmp.{}", std::process::id()));
-                let tmp = path.with_file_name(tmp_name);
-                durable_replace(vfs, &tmp, path, valid_prefix.as_bytes())?;
-            }
-            poisoned_from = Some(pos + 1);
-            break;
-        }
-    }
-
-    // segments after a corrupt one are untrustworthy wholesale: the writer
-    // only opens segment N+1 after N is complete, so a torn segment N with
-    // a live N+1 means files were tampered with or interleaved
-    if let Some(from) = poisoned_from {
-        for (_, path) in &segments[from..] {
-            quarantine(vfs, path)?;
-            JOURNAL_CORRUPT_SEGMENTS.inc();
-            replay.corrupt_segments += 1;
-        }
-    }
-    Ok(replay)
 }
 
 fn apply_record(replay: &mut Replay, record: JournalRecord) {
@@ -662,18 +667,24 @@ mod tests {
 
     #[test]
     fn bitflip_is_detected_by_checksum() {
-        let dir = tmp_dir("bitflip");
-        let (j, _) = Journal::open(&dir, &meta(), false).unwrap();
-        j.append_cell("m", 1, "d", &fault("a")).unwrap();
-        drop(j);
-        let path = dir.join(segment_name(0));
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() - 10;
-        bytes[mid] ^= 0x40; // flip a bit inside the last record's payload
-        fs::write(&path, bytes).unwrap();
-        let (_j, replay) = Journal::open(&dir, &meta(), true).unwrap();
-        assert_eq!(replay.corrupt_segments, 1);
-        assert!(replay.cell(1, "d").is_none());
+        // a low bit breaks the checksum; a high bit also breaks UTF-8, and
+        // must end the valid prefix the same way, not fail the open
+        for (tag, mask) in [("bitflip-low", 0x40u8), ("bitflip-high", 0x80)] {
+            let dir = tmp_dir(tag);
+            let (j, _) = Journal::open(&dir, &meta(), false).unwrap();
+            j.append_cell("m", 1, "d1", &fault("a")).unwrap();
+            j.append_cell("m", 2, "d2", &fault("b")).unwrap();
+            drop(j);
+            let path = dir.join(segment_name(0));
+            let mut bytes = fs::read(&path).unwrap();
+            let mid = bytes.len() - 10;
+            bytes[mid] ^= mask; // flip a bit inside the last record's payload
+            fs::write(&path, bytes).unwrap();
+            let (_j, replay) = Journal::open(&dir, &meta(), true).unwrap();
+            assert_eq!(replay.corrupt_segments, 1, "{tag}");
+            assert!(replay.cell(1, "d1").is_some(), "{tag}: prefix must survive");
+            assert!(replay.cell(2, "d2").is_none(), "{tag}");
+        }
     }
 
     #[test]

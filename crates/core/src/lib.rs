@@ -28,6 +28,7 @@
 pub mod analysis_cache;
 pub mod cache;
 pub mod dse;
+pub mod durable;
 pub mod engine;
 pub mod features;
 pub mod invariants;
@@ -55,8 +56,8 @@ pub use engine::{
     EngineConfig, EstimateOutcome, OutcomeKind, ResilientEngine, Tier, TierAttempt, TierFailure,
 };
 pub use features::{
-    feature_names, feature_row, profile_model, profile_model_budgeted, profile_model_report,
-    profile_model_with_target, CnnProfile, ProfileError, DEFAULT_SM_TARGET,
+    feature_names, feature_row, profile_model, profile_model_report, CnnProfile, ProfileError,
+    DEFAULT_SM_TARGET,
 };
 pub use invariants::{check_invariants, Violation, INVARIANTS};
 pub use journal::{
@@ -85,8 +86,7 @@ pub use server::{
 };
 pub use supervise::{CellGuard, SuperviseConfig, Supervisor};
 pub use vfs::{
-    durable_replace, real_fs, CrashStyle, FaultKind, FaultPlan, FaultRule, OpKind, RealFs, SimFs,
-    Vfs, VfsFile,
+    real_fs, CrashStyle, FaultKind, FaultPlan, FaultRule, OpKind, RealFs, SimFs, Vfs, VfsFile,
 };
 
 /// Convenient glob import for examples and benches.

@@ -3,17 +3,11 @@
 //! The lifecycle subsystem (see [`crate::lifecycle`]) promotes retrained
 //! predictors at runtime; this module makes those versions durable so a
 //! restarted `serve` cold-starts from the newest valid snapshot instead
-//! of retraining. The store borrows the corpus cache's defensive envelope
-//! (see [`crate::cache`]) on both ends:
-//!
-//! - **Writes** serialize the predictor into an envelope carrying a schema
-//!   version and an FNV-1a checksum, write it to a sibling temp file, and
-//!   publish with an atomic `rename` — a process SIGKILLed mid-write
-//!   leaves only a temp file that the next scan sweeps.
-//! - **Reads** validate the envelope; anything unparseable, with the
-//!   wrong schema, a checksum mismatch, or a version stamp that
-//!   contradicts its filename is quarantined by renaming it to
-//!   `<name>.corrupt` so the evidence survives while the slot frees up.
+//! of retraining. Snapshots are kept through [`crate::durable`]: each is
+//! an envelope with a schema version and a checksum of the predictor,
+//! published atomically. A scan sweeps the temp files of crashed writes
+//! and quarantines as `<name>.corrupt` any snapshot that fails the
+//! envelope check or whose version stamp contradicts its filename.
 //!
 //! Snapshot files are named `predictor-v000042.json`; version numbers are
 //! monotonically increasing and never reused, even after a quarantine (a
@@ -24,9 +18,9 @@
 //! The `modelstore.*` counter invariants live in
 //! [`crate::invariants::INVARIANTS`].
 
-use crate::cache::fnv1a;
+use crate::durable;
 use crate::model::PerformancePredictor;
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
+use crate::vfs::{real_fs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -70,7 +64,7 @@ pub struct SnapshotMeta {
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct SnapshotEnvelope {
     schema_version: u32,
-    /// FNV-1a over the canonical (`serde_json::to_string`) predictor JSON.
+    /// [`durable::checksum`] of the predictor.
     checksum: u64,
     meta: SnapshotMeta,
     predictor: PerformancePredictor,
@@ -129,58 +123,27 @@ pub(crate) fn parse_snapshot_version(name: &str) -> Option<u64> {
     rest.parse().ok()
 }
 
-fn predictor_checksum(predictor: &PerformancePredictor) -> u64 {
-    match serde_json::to_string(predictor) {
-        Ok(json) => fnv1a(json.as_bytes()),
-        Err(_) => 0,
-    }
-}
-
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    path.with_file_name(name)
-}
-
-/// Validate one snapshot file. `expect_version` is the version its
+/// Read and validate one snapshot file: the store's verified load,
+/// shared with `cnnperf scrub`. `expect_version` is the version its
 /// filename claims; a mismatched stamp is treated as corruption (a
 /// renamed or copied snapshot must not impersonate another version).
-fn read_snapshot(
+pub(crate) fn read_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     expect_version: u64,
 ) -> Result<SnapshotEnvelope, String> {
-    let text = vfs
-        .read_to_string(path)
-        .map_err(|e| format!("unreadable: {e}"))?;
-    validate_snapshot_text(&text, expect_version)
-}
-
-/// Envelope validation on raw snapshot bytes (shared with `cnnperf
-/// scrub`).
-pub(crate) fn validate_snapshot_text(
-    text: &str,
-    expect_version: u64,
-) -> Result<SnapshotEnvelope, String> {
-    let env: SnapshotEnvelope =
-        serde_json::from_str(text).map_err(|e| format!("unparseable envelope: {e}"))?;
-    if env.schema_version != SNAPSHOT_SCHEMA {
-        return Err(format!(
-            "schema version {} (want {SNAPSHOT_SCHEMA})",
-            env.schema_version
-        ));
-    }
+    let bytes = vfs.read(path).map_err(|e| format!("unreadable: {e}"))?;
+    let env: SnapshotEnvelope = durable::parse_envelope(&bytes)?;
+    durable::check_envelope(
+        env.schema_version,
+        SNAPSHOT_SCHEMA,
+        env.checksum,
+        &env.predictor,
+    )?;
     if env.meta.version != expect_version {
         return Err(format!(
             "version stamp {} contradicts filename version {expect_version}",
             env.meta.version
-        ));
-    }
-    let actual = predictor_checksum(&env.predictor);
-    if actual != env.checksum {
-        return Err(format!(
-            "checksum mismatch: stored {:#018x}, computed {actual:#018x}",
-            env.checksum
         ));
     }
     Ok(env)
@@ -240,20 +203,15 @@ impl ModelStore {
         let mut report = ScanReport::default();
         let mut entries: Vec<SnapshotInfo> = Vec::new();
         let mut max_seen: u64 = 0;
-        let names = self
-            .vfs
-            .read_dir(&self.dir)
-            .map_err(|e| StoreError::Init(format!("read {}: {e}", self.dir.display())))?;
-        for name in names {
+        let init =
+            |e: std::io::Error| StoreError::Init(format!("read {}: {e}", self.dir.display()));
+        // a crash mid-write leaves only the temp file; it never became
+        // visible, so sweeping it is safe
+        let swept = durable::sweep_tmp(&*self.vfs, &self.dir, true).map_err(init)?;
+        report.tmp_swept = swept.len();
+        swept.iter().for_each(|_| TMP_SWEPT.inc());
+        for name in self.vfs.read_dir(&self.dir).map_err(init)? {
             let path = self.dir.join(&name);
-            if name.contains(".tmp.") {
-                // a crash mid-write leaves only the temp file; it never
-                // became visible, so sweeping it is safe
-                let _ = self.vfs.remove_file(&path);
-                TMP_SWEPT.inc();
-                report.tmp_swept += 1;
-                continue;
-            }
             if let Some(v) = name
                 .strip_suffix(".corrupt")
                 .or_else(|| name.strip_suffix(".demoted"))
@@ -281,21 +239,7 @@ impl ModelStore {
                     });
                 }
                 Err(reason) => {
-                    let q = quarantine_path(&path);
-                    match self.vfs.rename(&path, &q) {
-                        Ok(()) => {
-                            let _ = sync_parent_dir(&*self.vfs, &path);
-                            eprintln!(
-                                "warning: snapshot {} is corrupt ({reason}); quarantined as {}",
-                                path.display(),
-                                q.display()
-                            )
-                        }
-                        Err(e) => eprintln!(
-                            "warning: snapshot {} is corrupt ({reason}); quarantine failed: {e}",
-                            path.display()
-                        ),
-                    }
+                    durable::quarantine_logged(&*self.vfs, &path, "snapshot", &reason);
                     SNAPSHOTS_QUARANTINED.inc();
                     report.quarantined += 1;
                 }
@@ -328,19 +272,14 @@ impl ModelStore {
         };
         let envelope = SnapshotEnvelope {
             schema_version: SNAPSHOT_SCHEMA,
-            checksum: predictor_checksum(predictor),
+            checksum: durable::checksum(predictor),
             meta: meta.clone(),
             predictor: predictor.clone(),
         };
         let json = serde_json::to_string(&envelope)
             .map_err(|e| StoreError::Io(format!("serialize v{version}: {e}")))?;
         let path = self.dir.join(snapshot_filename(version));
-        let tmp = self.dir.join(format!(
-            "{}.tmp.{}",
-            snapshot_filename(version),
-            std::process::id()
-        ));
-        durable_replace(&*self.vfs, &tmp, &path, json.as_bytes())
+        durable::publish(&*self.vfs, &path, json.as_bytes())
             .map_err(|e| StoreError::Io(format!("publish {}: {e}", path.display())))?;
         SNAPSHOTS_WRITTEN.inc();
         let info = SnapshotInfo {
@@ -392,10 +331,7 @@ impl ModelStore {
             return Err(StoreError::NotFound(version));
         }
         let path = self.dir.join(PIN_FILE);
-        let tmp = self
-            .dir
-            .join(format!("{PIN_FILE}.tmp.{}", std::process::id()));
-        durable_replace(&*self.vfs, &tmp, &path, format!("{version}\n").as_bytes())
+        durable::publish(&*self.vfs, &path, format!("{version}\n").as_bytes())
             .map_err(|e| StoreError::Io(format!("publish pin: {e}")))?;
         PINS.inc();
         Ok(())
@@ -434,7 +370,7 @@ impl ModelStore {
             .map_err(|e| StoreError::Io(format!("demote v{}: {e}", info.meta.version)))?;
         // the demotion must survive a crash: a resurrected "latest" would
         // undo the rollback
-        let _ = sync_parent_dir(&*self.vfs, &info.path);
+        let _ = durable::sync_parent_dir(&*self.vfs, &info.path);
         DEMOTIONS.inc();
         self.entries.pop();
         if self.pinned() == Some(info.meta.version) {

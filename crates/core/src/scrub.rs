@@ -14,16 +14,18 @@
 //! | `PINNED`                      | points at a valid snapshot | remove dangling pin |
 //! | `*.corrupt` / `*.demoted`     | none (evidence)            | reported, kept |
 //!
-//! Repairs are exactly the ones the stores would perform themselves, so
-//! a scrubbed directory opens clean; every destructive step preserves
-//! evidence (quarantine renames rather than deletes) and is published
-//! durably through [`crate::vfs`]. With `apply == false` the same audit
-//! runs read-only.
+//! Each check and repair is the owning store's own (see
+//! [`crate::durable`] and [`crate::journal::walk_segments`]), so a
+//! scrubbed directory opens clean. A file that is not UTF-8 is corrupt;
+//! in a segment, the first such line ends the valid prefix. With
+//! `apply == false` the same audit runs read-only.
 //!
 //! The `scrub.*` counter invariant lives in
 //! [`crate::invariants::INVARIANTS`].
 
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
+use crate::durable;
+use crate::journal::{repair_segment, Damage};
+use crate::vfs::{real_fs, Vfs};
 use std::path::{Path, PathBuf};
 
 /// Findings recorded across all scrubs (informational ones included).
@@ -179,18 +181,23 @@ fn scrub_one_dir(
     report: &mut ScrubReport,
 ) -> std::io::Result<()> {
     report.dirs_visited += 1;
-    let names = vfs.read_dir(dir)?;
+    let swept = durable::sweep_tmp(vfs, dir, opts.apply)?;
+    for (path, removed) in &swept {
+        SCRUB_CHECKED.inc();
+        report.files_checked += 1;
+        let repair = match removed {
+            Ok(()) if opts.apply => Repair::Removed,
+            Ok(()) => Repair::Skipped,
+            Err(e) => Repair::Failed(e.to_string()),
+        };
+        let detail = "stale temp file from a crashed publish".into();
+        report.push(path, FindingKind::OrphanTmp, detail, repair);
+    }
     // valid snapshot versions in this dir, for pin consistency
     let mut valid_versions: Vec<u64> = Vec::new();
-    let mut pin_name: Option<String> = None;
-    // journal segments sort by index so "later than the first corrupt
-    // one" is well-defined
-    let mut poisoned_from: Option<u32> = None;
-    let mut segments: Vec<(u32, String)> = Vec::new();
-
-    for name in &names {
-        let path = dir.join(name);
-        if !vfs.exists(&path) {
+    for name in vfs.read_dir(dir)? {
+        let path = dir.join(&name);
+        if !vfs.exists(&path) || swept.iter().any(|(tmp, _)| *tmp == path) {
             continue;
         }
         if path != dir && vfs.read_dir(&path).is_ok() && vfs.read(&path).is_err() {
@@ -200,198 +207,96 @@ fn scrub_one_dir(
         }
         SCRUB_CHECKED.inc();
         report.files_checked += 1;
-
-        if name.contains(".tmp.") {
-            let repair = if opts.apply {
-                match vfs.remove_file(&path) {
-                    Ok(()) => {
-                        let _ = sync_parent_dir(vfs, &path);
-                        Repair::Removed
-                    }
-                    Err(e) => Repair::Failed(e.to_string()),
-                }
-            } else {
-                Repair::Skipped
-            };
-            report.push(
-                &path,
-                FindingKind::OrphanTmp,
-                "stale temp file from a crashed publish".into(),
-                repair,
-            );
-            continue;
-        }
-        if name.ends_with(".corrupt") || name.ends_with(".demoted") {
-            report.push(
-                &path,
-                FindingKind::Evidence,
-                "preserved evidence from an earlier incident".into(),
-                Repair::NotNeeded,
-            );
-            continue;
-        }
-        if let Some(idx) = crate::journal::segment_index(name) {
-            segments.push((idx, name.clone()));
-            continue; // handled after the listing pass, in index order
-        }
-        if name == "PINNED" {
-            pin_name = Some(name.clone());
-            continue; // checked after snapshots are validated
-        }
-        if let Some(version) = crate::modelstore::parse_snapshot_version(name) {
-            match vfs
-                .read_to_string(&path)
-                .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|t| crate::modelstore::validate_snapshot_text(&t, version).map(|_| ()))
-            {
-                Ok(()) => valid_versions.push(version),
-                Err(reason) => {
-                    let repair = quarantine_repair(vfs, &path, opts);
-                    report.push(&path, FindingKind::CorruptSnapshot, reason, repair);
-                }
-            }
-            continue;
-        }
-        if name.ends_with(".json") && name.contains("corpus") {
-            match vfs
-                .read_to_string(&path)
-                .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|t| crate::cache::validate_envelope(&t))
-            {
-                Ok(()) => {}
-                Err(reason) => {
-                    let repair = quarantine_repair(vfs, &path, opts);
-                    report.push(&path, FindingKind::CorruptCache, reason, repair);
-                }
-            }
-            continue;
-        }
+        // journal segments and the pin marker are checked after this pass;
         // anything else (figures, benches, unrelated files) is not ours
+        let invalid = if name.ends_with(".corrupt") || name.ends_with(".demoted") {
+            let detail = "preserved evidence from an earlier incident".into();
+            report.push(&path, FindingKind::Evidence, detail, Repair::NotNeeded);
+            continue;
+        } else if let Some(version) = crate::modelstore::parse_snapshot_version(&name) {
+            let checked = crate::modelstore::read_snapshot(vfs, &path, version);
+            if checked.is_ok() {
+                valid_versions.push(version);
+            }
+            checked
+                .err()
+                .map(|reason| (FindingKind::CorruptSnapshot, reason))
+        } else if name.ends_with(".json") && name.contains("corpus") {
+            let checked = vfs
+                .read(&path)
+                .map_err(|e| format!("unreadable: {e}"))
+                .and_then(|bytes| crate::cache::open_envelope(&bytes));
+            checked
+                .err()
+                .map(|reason| (FindingKind::CorruptCache, reason))
+        } else {
+            None
+        };
+        if let Some((kind, reason)) = invalid {
+            let repair = attempt(opts, || {
+                durable::quarantine(vfs, &path).map(|_| Repair::Quarantined)
+            });
+            report.push(&path, kind, reason, repair);
+        }
     }
 
-    // journal segments, in index order
-    segments.sort();
-    for (idx, name) in &segments {
-        let path = dir.join(name);
-        if poisoned_from.is_some_and(|from| *idx > from) {
-            // a segment after a corrupt one: ordering is untrustworthy,
-            // quarantine wholesale exactly like journal replay does
-            let repair = quarantine_repair(vfs, &path, opts);
-            report.push(
-                &path,
-                FindingKind::SuspectSegment,
-                format!(
-                    "follows corrupt segment {from:05}",
-                    from = poisoned_from.unwrap()
-                ),
-                repair,
-            );
-            continue;
-        }
-        let text = match vfs.read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                let repair = quarantine_repair(vfs, &path, opts);
-                report.push(
-                    &path,
+    crate::journal::walk_segments(
+        vfs,
+        dir,
+        |_| {},
+        |path, damage| {
+            let (kind, detail) = match &damage {
+                Damage::Unreadable(e) => (FindingKind::CorruptSegment, format!("unreadable: {e}")),
+                Damage::CorruptTail { valid, .. } => (
                     FindingKind::CorruptSegment,
-                    format!("unreadable: {e}"),
-                    repair,
-                );
-                poisoned_from = Some(*idx);
-                continue;
-            }
-        };
-        let (valid_lines, bad) = crate::journal::segment_valid_prefix(&text);
-        if !bad {
-            continue;
-        }
-        poisoned_from = Some(*idx);
-        let detail = format!("corrupt line after {} valid record(s)", valid_lines.len());
-        let repair = if opts.apply {
-            match repair_segment(vfs, &path, &valid_lines) {
-                Ok(rewrote) => {
-                    if rewrote {
-                        Repair::PrefixRewritten
-                    } else {
-                        Repair::Quarantined
-                    }
-                }
-                Err(e) => Repair::Failed(e.to_string()),
-            }
-        } else {
-            Repair::Skipped
-        };
-        report.push(&path, FindingKind::CorruptSegment, detail, repair);
-    }
+                    format!("corrupt line after {valid} valid record(s)"),
+                ),
+                Damage::Suspect { after } => (
+                    FindingKind::SuspectSegment,
+                    format!("follows corrupt segment {after:05}"),
+                ),
+            };
+            let repair = attempt(opts, || {
+                Ok(match repair_segment(vfs, &path, &damage)? {
+                    true => Repair::PrefixRewritten,
+                    false => Repair::Quarantined,
+                })
+            });
+            report.push(&path, kind, detail, repair);
+            Ok(())
+        },
+    )?;
 
     // pin consistency: a pin must point at a valid snapshot in this dir
-    if let Some(name) = pin_name {
-        let path = dir.join(&name);
+    let path = dir.join("PINNED");
+    if vfs.exists(&path) {
         let target: Option<u64> = vfs
             .read_to_string(&path)
             .ok()
             .and_then(|t| t.trim().parse().ok());
-        let ok = target.is_some_and(|v| valid_versions.contains(&v));
-        if !ok {
+        if !target.is_some_and(|v| valid_versions.contains(&v)) {
             let detail = match target {
                 Some(v) => format!("pinned version {v} has no valid snapshot"),
                 None => "unparseable pin marker".into(),
             };
-            let repair = if opts.apply {
-                match vfs.remove_file(&path) {
-                    Ok(()) => {
-                        let _ = sync_parent_dir(vfs, &path);
-                        Repair::Removed
-                    }
-                    Err(e) => Repair::Failed(e.to_string()),
-                }
-            } else {
-                Repair::Skipped
-            };
+            let repair = attempt(opts, || {
+                vfs.remove_file(&path)?;
+                durable::sync_parent_dir(vfs, &path)?;
+                Ok(Repair::Removed)
+            });
             report.push(&path, FindingKind::DanglingPin, detail, repair);
         }
     }
     Ok(())
 }
 
-/// Rename `path` aside to `.corrupt`, durably. Returns the repair result.
-fn quarantine_repair(vfs: &dyn Vfs, path: &Path, opts: ScrubOptions) -> Repair {
+/// Run a repair unless this is a dry run; a failed repair is recorded,
+/// not fatal.
+fn attempt(opts: ScrubOptions, repair: impl FnOnce() -> std::io::Result<Repair>) -> Repair {
     if !opts.apply {
         return Repair::Skipped;
     }
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    match vfs.rename(path, &path.with_file_name(name)) {
-        Ok(()) => {
-            let _ = sync_parent_dir(vfs, path);
-            Repair::Quarantined
-        }
-        Err(e) => Repair::Failed(e.to_string()),
-    }
-}
-
-/// Quarantine a torn segment and rewrite its valid prefix under the live
-/// name (durable), mirroring journal replay's own repair. Returns whether
-/// a prefix was rewritten.
-fn repair_segment(vfs: &dyn Vfs, path: &Path, valid_lines: &[&str]) -> std::io::Result<bool> {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    vfs.rename(path, &path.with_file_name(name))?;
-    sync_parent_dir(vfs, path)?;
-    if valid_lines.is_empty() {
-        return Ok(false);
-    }
-    let mut prefix = String::new();
-    for line in valid_lines {
-        prefix.push_str(line);
-        prefix.push('\n');
-    }
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    durable_replace(vfs, &tmp, path, prefix.as_bytes())?;
-    Ok(true)
+    repair().unwrap_or_else(|e| Repair::Failed(e.to_string()))
 }
 
 #[cfg(test)]
@@ -476,6 +381,44 @@ mod tests {
         assert_eq!(report.findings[0].repair, Repair::Quarantined);
         assert!(fs.exists(&p("models/predictor-v000003.json.corrupt")));
         assert!(!fs.exists(&p("models/predictor-v000003.json")));
+    }
+
+    #[test]
+    fn non_utf8_segment_keeps_its_valid_prefix() {
+        use crate::journal::{BuildMeta, CellOutcome, Journal, JOURNAL_SCHEMA};
+        let fs = SimFs::new(1);
+        let meta = BuildMeta {
+            schema: JOURNAL_SCHEMA,
+            sm_target: "sm_61".into(),
+            runs: 3,
+            retry: gpu_sim::RetryPolicy::no_backoff(),
+            faults: gpu_sim::FaultProfile::none(),
+            strict: false,
+        };
+        let (j, _) = Journal::open_on(fs.handle(), &p("journal"), &meta, false).unwrap();
+        for (hash, device) in [(1, "d1"), (2, "d2")] {
+            let outcome = CellOutcome::Fault {
+                timeout: false,
+                waited_ms: 0,
+                error: "x".into(),
+            };
+            j.append_cell("m", hash, device, &outcome).unwrap();
+        }
+        drop(j);
+        // a flipped high bit in the last record makes that line invalid
+        // UTF-8: the earlier lines are still a valid prefix
+        let seg = p("journal/segment-00000.jsonl");
+        let mut bytes = fs.read(&seg).unwrap();
+        let mid = bytes.len() - 10;
+        bytes[mid] |= 0x80;
+        fs.write(&seg, &bytes).unwrap();
+        let report = scrub_dir(&fs, &p("journal"), ScrubOptions::default()).unwrap();
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert_eq!(report.findings[0].kind, FindingKind::CorruptSegment);
+        assert_eq!(report.findings[0].repair, Repair::PrefixRewritten);
+        let (_j, replay) = Journal::open_on(fs.handle(), &p("journal"), &meta, true).unwrap();
+        assert_eq!(replay.corrupt_segments, 0);
+        assert!(replay.cell(1, "d1").is_some() && replay.cell(2, "d2").is_none());
     }
 
     #[test]

@@ -266,12 +266,18 @@ impl Scheduler {
         let mut handles = Vec::with_capacity(shard_count);
         for (i, shard) in shards.into_iter().enumerate() {
             let cfg = cfg.clone();
-            let slot = Arc::clone(&slot);
-            let corpus = corpus.clone();
-            let ground_truth = ground_truth.clone();
+            // each shard's engine is built and warmed before `start`
+            // returns, so the warm-up never races a drain
+            let mut engine = ResilientEngine::with_shared_slot(cfg.engine.clone(), slot.clone());
+            if let Some(log) = &ground_truth {
+                engine.set_ground_truth_log(Arc::clone(log));
+            }
+            if let Some(c) = &corpus {
+                engine.warm_from_corpus(c);
+            }
             let handle = std::thread::Builder::new()
                 .name(format!("serve-shard-{i}"))
-                .spawn(move || worker_loop(shard, cfg, slot, corpus, ground_truth))
+                .spawn(move || worker_loop(shard, cfg, engine))
                 .expect("spawn scheduler worker");
             handles.push(handle);
         }
@@ -485,20 +491,7 @@ fn backoff_jitter_ms(key: &JobKey, attempt: u32, base_ms: u64) -> u64 {
 /// order, and fans results out to every waiter. The engine contains tier
 /// panics itself; the extra `catch_unwind` here is the last line of
 /// defense — a scheduler bug must classify, not kill the worker.
-fn worker_loop(
-    shard: Arc<Shard>,
-    cfg: ServerConfig,
-    slot: Arc<PredictorSlot>,
-    corpus: Option<Arc<Corpus>>,
-    ground_truth: Option<Arc<MeasurementLog>>,
-) {
-    let mut engine = ResilientEngine::with_shared_slot(cfg.engine.clone(), slot);
-    if let Some(log) = ground_truth {
-        engine.set_ground_truth_log(log);
-    }
-    if let Some(c) = &corpus {
-        engine.warm_from_corpus(c);
-    }
+fn worker_loop(shard: Arc<Shard>, cfg: ServerConfig, mut engine: ResilientEngine) {
     loop {
         let (key, deadline_ms, revalidate) = {
             let mut st = lock_recover(&shard.state);

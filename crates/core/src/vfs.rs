@@ -7,9 +7,9 @@
 //! was only probed by ad-hoc process kills. This module puts a [`Vfs`]
 //! trait between those writers and the disk, with two implementations:
 //!
-//! - [`RealFs`] — passthrough to `std::fs`, plus the fsync-file-then-
-//!   fsync-parent-dir discipline every temp+rename publisher needs
-//!   (see [`durable_replace`]). Counted: `vfs.ops`, `vfs.sync_file`,
+//! - [`RealFs`] — passthrough to `std::fs`, with real fsyncs for the
+//!   fsync-file-then-fsync-parent-dir discipline of
+//!   [`crate::durable::publish`]. Counted: `vfs.ops`, `vfs.sync_file`,
 //!   `vfs.sync_dir`.
 //! - [`SimFs`] — an in-memory filesystem that models the page cache:
 //!   every file carries **visible** bytes (what any reader sees now; what
@@ -100,32 +100,6 @@ pub trait Vfs: Send + Sync {
 fn note_enospc(e: &io::Error) {
     if e.kind() == io::ErrorKind::StorageFull {
         VFS_ENOSPC.inc();
-    }
-}
-
-/// The canonical crash-safe publish: write `data` to `tmp`, fsync it,
-/// rename over `dst`, fsync the parent directory. After this returns,
-/// `dst` holds `data` even across a power loss; if it fails, `tmp` is
-/// cleaned up on a best-effort basis and `dst` is untouched (readers see
-/// the old version or nothing — never a torn file).
-pub fn durable_replace(vfs: &dyn Vfs, tmp: &Path, dst: &Path, data: &[u8]) -> io::Result<()> {
-    let publish = (|| {
-        vfs.write(tmp, data)?;
-        vfs.sync_file(tmp)?;
-        vfs.rename(tmp, dst)
-    })();
-    if let Err(e) = publish {
-        let _ = vfs.remove_file(tmp);
-        return Err(e);
-    }
-    sync_parent_dir(vfs, dst)
-}
-
-/// fsync the parent directory of `path` (no-op for bare filenames).
-pub fn sync_parent_dir(vfs: &dyn Vfs, path: &Path) -> io::Result<()> {
-    match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => vfs.sync_dir(dir),
-        _ => Ok(()),
     }
 }
 
@@ -997,41 +971,6 @@ mod tests {
         let img = fs.crash_image(CrashStyle::Strict, 7);
         assert_eq!(img.read(&p("d/old")).unwrap(), b"v2");
         assert!(!img.exists(&p("d/new.tmp")));
-    }
-
-    #[test]
-    fn durable_replace_survives_any_strict_crash_point() {
-        // enumerate every crash point of the canonical publish sequence:
-        // at each one the destination must hold the old version or the
-        // new version, never a torn or empty file
-        let total = {
-            let fs = SimFs::new(3);
-            fs.create_dir_all(&p("d")).unwrap();
-            fs.write(&p("d/f"), b"old").unwrap();
-            fs.sync_file(&p("d/f")).unwrap();
-            fs.sync_dir(&p("d")).unwrap();
-            durable_replace(&fs, &p("d/f.tmp.1"), &p("d/f"), b"new").unwrap();
-            fs.mut_ops()
-        };
-        for k in 0..=total {
-            let fs = SimFs::new(3);
-            fs.set_crash_after(k);
-            let _ = (|| -> io::Result<()> {
-                fs.create_dir_all(&p("d"))?;
-                fs.write(&p("d/f"), b"old")?;
-                fs.sync_file(&p("d/f"))?;
-                fs.sync_dir(&p("d"))?;
-                durable_replace(&fs, &p("d/f.tmp.1"), &p("d/f"), b"new")
-            })();
-            let img = fs.crash_image(CrashStyle::Strict, k);
-            if img.exists(&p("d/f")) {
-                let got = img.read(&p("d/f")).unwrap();
-                assert!(
-                    got == b"old" || got == b"new",
-                    "crash point {k}: torn content {got:?}"
-                );
-            }
-        }
     }
 
     #[test]

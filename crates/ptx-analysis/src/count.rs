@@ -211,24 +211,20 @@ pub fn count_launch(
     launch: &KernelLaunch,
     use_slice: bool,
 ) -> Result<LaunchCount, ExecError> {
-    count_launch_budgeted(kernel, launch, use_slice, &ExecBudget::default())
+    count_launch_mode(
+        kernel,
+        launch,
+        use_slice,
+        &ExecBudget::default(),
+        default_count_mode(),
+    )
 }
 
 /// [`count_launch`] with an explicit execution budget (step fuel and
-/// cooperative cancellation) applied to every representative thread.
-pub fn count_launch_budgeted(
-    kernel: &Kernel,
-    launch: &KernelLaunch,
-    use_slice: bool,
-    budget: &ExecBudget,
-) -> Result<LaunchCount, ExecError> {
-    count_launch_mode(kernel, launch, use_slice, budget, default_count_mode())
-}
-
-/// [`count_launch_budgeted`] with an explicit [`CountMode`]. The kernel is
-/// prepared through the process-wide table (decoded, sliced and compiled
-/// once per process), except in `Bruteforce` mode, the reference, which
-/// executes the kernel as given.
+/// cooperative cancellation, applied to every representative thread) and
+/// [`CountMode`]. The kernel is prepared through the process-wide table
+/// (decoded, sliced and compiled once per process), except in
+/// `Bruteforce` mode, the reference, which executes the kernel as given.
 pub fn count_launch_mode(
     kernel: &Kernel,
     launch: &KernelLaunch,
@@ -295,7 +291,7 @@ fn count_on(
     }
 }
 
-/// [`count_launch_budgeted`] over an already-decoded kernel, always on
+/// [`count_launch_mode`] over an already-decoded kernel, always on
 /// the dense interpreter (the counting layer's `interp` tier). The
 /// grid-rectangle re-runs all execute the shared [`DenseProgram`].
 pub fn count_launch_prepared(
@@ -601,17 +597,12 @@ pub fn count_launch_bruteforce(
 /// (see [`CountingReport::unique_launches`]); launches of one shape share
 /// one count. Uses the process-wide default [`CountMode`].
 pub fn count_plan(plan: &LaunchPlan, use_slice: bool) -> Result<PlanCount, ExecError> {
-    count_plan_budgeted(plan, use_slice, &ExecBudget::default())
-}
-
-/// [`count_plan`] with an explicit execution budget. A shared cancellation
-/// token in the budget aborts all parallel launch counts cooperatively.
-pub fn count_plan_budgeted(
-    plan: &LaunchPlan,
-    use_slice: bool,
-    budget: &ExecBudget,
-) -> Result<PlanCount, ExecError> {
-    count_plan_mode_budgeted(plan, use_slice, budget, default_count_mode())
+    count_plan_mode_budgeted(
+        plan,
+        use_slice,
+        &ExecBudget::default(),
+        default_count_mode(),
+    )
 }
 
 /// [`count_plan_mode_budgeted`] plus a [`CountingReport`] describing which
@@ -682,9 +673,11 @@ pub fn count_plan_report_budgeted(
     ))
 }
 
-/// [`count_plan_budgeted`] with an explicit [`CountMode`]. Each referenced
-/// kernel comes from the process-wide table of prepared kernels, so it is
-/// decoded, sliced and poly-compiled at most once per process.
+/// [`count_plan`] with an explicit execution budget and [`CountMode`]. A
+/// shared cancellation token in the budget aborts all parallel launch
+/// counts cooperatively. Each referenced kernel comes from the
+/// process-wide table of prepared kernels, so it is decoded, sliced and
+/// poly-compiled at most once per process.
 pub fn count_plan_mode_budgeted(
     plan: &LaunchPlan,
     use_slice: bool,

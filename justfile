@@ -139,20 +139,24 @@ lifecycle-smoke:
     "$bin" models unpin --model-dir "$mdir"
     echo "lifecycle-smoke OK: torn snapshot quarantined, v1 served byte-identically"
 
-# Storage-fault acceptance. Three layers: the crash-point enumeration
+# Storage-fault acceptance. Four layers: the crash-point enumeration
 # oracle (every mutating VFS op in the journal / cache / modelstore
 # workloads is a crash point, and every enumerated crash must recover
-# invariant-clean), the SimFs model-based property suite (any seeded op
-# and crash schedule yields a durable image equal to an fsync-consistent
-# prefix of the op history), and two RealFs drills: a journaled mini
-# corpus build must issue real fsyncs (vfs.sync_file / vfs.sync_dir
-# nonzero in the stats snapshot), and `scrub` over a fault-littered state
-# dir must repair everything it finds, exit 0, and leave a second pass
-# with nothing but quarantine evidence.
+# invariant-clean), the scrub oracle (at every crash point of one workload
+# over all three stores, a scrubbed image opens with nothing left to
+# repair and recovers what the stores recover on their own), the SimFs
+# model-based property suite (any seeded op and crash schedule yields a
+# durable image equal to an fsync-consistent prefix of the op history),
+# and two RealFs drills: a journaled mini corpus build must issue real
+# fsyncs (vfs.sync_file / vfs.sync_dir nonzero in the stats snapshot),
+# and `scrub` over a fault-littered state dir must repair everything it
+# finds, exit 0, and leave a second pass with nothing but quarantine
+# evidence.
 crash-sim:
     #!/usr/bin/env bash
     set -euo pipefail
     timeout 600 cargo test -q --test crash_enum
+    timeout 600 cargo test -q --test scrub_recovery
     timeout 300 cargo test -q -p cnnperf-core --test vfs_props
     cargo build --release
     bin=target/release/cnnperf
@@ -215,7 +219,39 @@ poly-equivalence:
     cargo run --release -- stats-check target/poly-smoke-sm80.out
     grep -q '"ptx.poly.compiled":' target/poly-smoke-sm80.out
 
-# Rust line count over the source set the ROADMAP records:
-# crates/, src/, tests/, examples/, shims/ and perfbench/src/.
+# The Rust sources the ROADMAP counts: crates/, src/, tests/, examples/,
+# shims/ and perfbench/src/.
+rust_sources := "find crates src tests examples shims perfbench/src -name '*.rs' -not -path '*/target/*'"
+
+# Rust line count over the source set the ROADMAP records.
 loc:
-    @find crates src tests examples shims perfbench/src -name '*.rs' -not -path '*/target/*' | xargs cat | wc -l
+    @{{rust_sources}} | xargs cat | wc -l
+
+# Record the benchmark trajectory as BENCH_PR<n>.json at the repo root:
+# the measured git revision (`-dirty` when the tree has uncommitted
+# changes), the Rust line count, and the final JSON line of each perfbench
+# workload at seed 3 for 15 s with tracing off. Writes nothing unless
+# every workload reports `"correct": true` and no failed op.
+bench-record n:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    rev=$(git describe --always --dirty --abbrev=40)
+    loc=$({{rust_sources}} | xargs cat | wc -l)
+    runs=()
+    for w in dse-cold serve-analytical corpus-build; do
+        line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 3 --seconds 15 --trace 0 | tail -n 1)
+        case "$line" in
+            *'"correct": true, '*'"failed": 0, '*) ;;
+            *) echo "bench-record: $w is not correct or has failed ops: $line" >&2; exit 1 ;;
+        esac
+        runs+=("    {\"workload\": \"$w\", \"result\": $line}")
+    done
+    out="BENCH_PR{{n}}.json"
+    {
+        printf '{\n  "revision": "%s",\n  "loc": %s,\n' "$rev" "$loc"
+        printf '  "perfbench": "--seed 3 --seconds 15 --trace 0",\n  "runs": [\n'
+        printf '%s,\n%s,\n%s\n' "${runs[@]}"
+        printf '  ]\n}\n'
+    } > "$out"
+    echo "bench-record: wrote $out"

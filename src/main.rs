@@ -701,7 +701,11 @@ fn cmd_corpus(a: &Args) -> Exit {
                 }
             }
             match a.raw("--out") {
-                Some(path) => match std::fs::write(path, corpus.canonical_json()) {
+                Some(path) => match cnnperf_core::durable::publish(
+                    &*cnnperf_core::real_fs(),
+                    Path::new(path),
+                    corpus.canonical_json().as_bytes(),
+                ) {
                     Ok(()) => {
                         eprintln!("canonical corpus written to {path}");
                         ExitCode::SUCCESS

@@ -215,3 +215,42 @@ fn snapshot_json_round_trips_through_the_parser() {
         .expect("probe histogram present");
     assert!(hist.get("count").is_some() && hist.get("buckets").is_some());
 }
+
+#[test]
+fn serve_warm_up_counter_is_the_same_on_every_run() {
+    // building the corpus in process moves the shared registry
+    let _guard = lock();
+    // every shard warms its stale cache from the corpus before `serve`
+    // reads stdin, so even an immediate EOF drain reports all of them;
+    // each run is a fresh process, so the counter is absolute
+    let dir = std::env::temp_dir().join(format!("cnnperf-obs-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("corpus.json");
+    let models: Vec<_> = ["alexnet", "mobilenet"]
+        .iter()
+        .map(|m| cnn_ir::zoo::build(m).unwrap())
+        .collect();
+    let corpus = build_corpus(&models, &[gpu_sim::specs::quadro_p1000()]).unwrap();
+    store_corpus(&path, &corpus).unwrap();
+    let want = 4 * corpus.samples.len() as u64;
+    for run in 0..3 {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cnnperf"))
+            .env("CNNPERF_CORPUS", &path)
+            .args(["serve", "--tiers", "analytical", "--workers", "4"])
+            .args(["--stats-dump", "json"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn cnnperf");
+        assert!(out.status.success(), "run {run}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let warmed = stdout
+            .split("\"engine.cache.warmed\":")
+            .nth(1)
+            .and_then(|rest| {
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse::<u64>().ok()
+            });
+        assert_eq!(warmed, Some(want), "run {run}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
