@@ -1,29 +1,38 @@
 //! Simulator-fidelity ablation: detailed event-driven mode (the ground
 //! truth / naive-profiling stand-in), detailed without launch memoization,
-//! and the closed-form analytical mode.
+//! and the closed-form analytical mode. Each plan is counted once, outside
+//! the timed loop, as the analysis does; the benches time simulation only.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpu_sim::{SimMode, Simulator};
+use gpu_sim::{SimMode, SimReport, Simulator};
+use ptx::kernel::LaunchPlan;
+use ptx_analysis::{ExecBudget, PlanCount};
 use std::hint::black_box;
+
+fn simulate(sim: &Simulator, plan: &LaunchPlan, counts: &PlanCount) -> SimReport {
+    sim.simulate_plan(plan, counts, &ExecBudget::default())
+        .unwrap()
+}
 
 fn bench_sim_modes(c: &mut Criterion) {
     let model = cnn_ir::zoo::build("alexnet").unwrap();
     let plan = ptx_codegen::lower(&model, "sm_61").unwrap();
+    let counts = ptx_analysis::count_plan(&plan, true).unwrap();
     let dev = gpu_sim::specs::gtx_1080_ti();
 
     let mut group = c.benchmark_group("sim/alexnet");
     group.sample_size(10);
     group.bench_function("detailed_memoized", |b| {
         let sim = Simulator::new(dev.clone(), SimMode::Detailed);
-        b.iter(|| black_box(sim.simulate_plan(&plan).unwrap()))
+        b.iter(|| black_box(simulate(&sim, &plan, &counts)))
     });
     group.bench_function("detailed_no_memo", |b| {
         let sim = Simulator::new(dev.clone(), SimMode::DetailedNoMemo);
-        b.iter(|| black_box(sim.simulate_plan(&plan).unwrap()))
+        b.iter(|| black_box(simulate(&sim, &plan, &counts)))
     });
     group.bench_function("analytical", |b| {
         let sim = Simulator::new(dev.clone(), SimMode::Analytical);
-        b.iter(|| black_box(sim.simulate_plan(&plan).unwrap()))
+        b.iter(|| black_box(simulate(&sim, &plan, &counts)))
     });
     group.finish();
 }
@@ -33,6 +42,7 @@ fn bench_sim_modes(c: &mut Criterion) {
 fn bench_dvfs_sweep(c: &mut Criterion) {
     let model = cnn_ir::zoo::build("mobilenet").unwrap();
     let plan = ptx_codegen::lower(&model, "sm_61").unwrap();
+    let counts = ptx_analysis::count_plan(&plan, true).unwrap();
     let base = gpu_sim::specs::gtx_1080_ti();
     let mut group = c.benchmark_group("sim/dvfs_sweep");
     group.sample_size(10);
@@ -41,7 +51,7 @@ fn bench_dvfs_sweep(c: &mut Criterion) {
             for scale in [0.6, 0.8, 1.0, 1.2, 1.4] {
                 let dev = base.with_clock_scale(scale);
                 let sim = Simulator::new(dev, SimMode::Detailed);
-                black_box(sim.simulate_plan(&plan).unwrap());
+                black_box(simulate(&sim, &plan, &counts));
             }
         })
     });
@@ -60,18 +70,17 @@ fn bench_gemm_variants(c: &mut Criterion) {
         ("micro_2x2_per_thread", ptx_codegen::GemmVariant::Micro2x2),
     ] {
         let plan = ptx_codegen::lower_with(&model, "sm_61", 1, variant).unwrap();
+        let counts = ptx_analysis::count_plan(&plan, true).unwrap();
         // report the simulated latency once (criterion measures wall time of
         // the simulation; the interesting number is the simulated ms)
-        let sim = Simulator::new(dev.clone(), SimMode::Detailed)
-            .simulate_plan(&plan)
-            .unwrap();
+        let simulator = Simulator::new(dev.clone(), SimMode::Detailed);
+        let sim = simulate(&simulator, &plan, &counts);
         eprintln!(
             "[gemm-variant] {label}: simulated latency {:.2} ms, IPC {:.3}, {} thread instrs",
             sim.latency_ms, sim.ipc, sim.thread_instructions
         );
-        let simulator = Simulator::new(dev.clone(), SimMode::Detailed);
         group.bench_function(label, |b| {
-            b.iter(|| black_box(simulator.simulate_plan(&plan).unwrap()))
+            b.iter(|| black_box(simulate(&simulator, &plan, &counts)))
         });
     }
     group.finish();

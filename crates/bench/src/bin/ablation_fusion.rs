@@ -8,6 +8,7 @@
 
 use cnnperf_core::prelude::*;
 use gpu_sim::{SimMode, Simulator};
+use ptx_analysis::ExecBudget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dev = gpu_sim::specs::gtx_1080_ti();
@@ -34,7 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ] {
             let plan = ptx_codegen::lower(graph, &dev.sm_target())?;
             let counts = ptx_analysis::count_plan(&plan, true)?;
-            let sim = Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan(&plan)?;
+            let sim = Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan(
+                &plan,
+                &counts,
+                &ExecBudget::default(),
+            )?;
             table.row(vec![
                 name.to_string(),
                 label.to_string(),

@@ -70,17 +70,19 @@ pub fn rank_devices_profiled(
     })
 }
 
-/// Wall time of the naive approach for one device: codegen plus full
-/// profiling (the detailed simulator standing in for hardware + nvprof,
-/// no launch memoization). The timer starts *before* lowering so the
-/// measurement is symmetric with the estimation path, whose `t_dca`
-/// also includes lowering — the Table IV speedup comparison depends on
-/// both sides being charged for codegen.
+/// Wall time of the naive approach for one device: codegen, counting and
+/// full profiling (the detailed simulator standing in for hardware +
+/// nvprof, no launch memoization). The timer starts *before* lowering so
+/// the measurement is symmetric with the estimation path, whose `t_dca`
+/// also includes lowering and counting — the Table IV speedup comparison
+/// depends on both sides being charged for them.
 pub fn naive_profile_time(model: &ModelGraph, dev: &DeviceSpec) -> Result<f64, ProfileError> {
     let t0 = std::time::Instant::now();
     let plan = ptx_codegen::lower(model, &dev.sm_target())?;
+    let counts = ptx_analysis::count_plan(&plan, true)?;
     let sim = Simulator::new(dev.clone(), SimMode::DetailedNoMemo);
-    let _ = sim.simulate_plan(&plan).map_err(ProfileError::Exec)?;
+    let budget = ptx_analysis::ExecBudget::default();
+    let _ = sim.simulate_plan(&plan, &counts, &budget)?;
     Ok(t0.elapsed().as_secs_f64())
 }
 

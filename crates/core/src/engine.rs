@@ -25,7 +25,6 @@ use crate::lifecycle::{Measurement, MeasurementLog, PredictorSlot};
 use crate::model::PerformancePredictor;
 use crate::pipeline::Corpus;
 use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, Deadline};
-use crate::server::QosClass;
 use gpu_sim::{ChaosInjector, ChaosProfile, SimMode, Simulator, TierFaultKind};
 use ptx_analysis::ExecBudget;
 use serde::{Deserialize, Serialize};
@@ -554,77 +553,35 @@ impl ResilientEngine {
         )
     }
 
-    /// Process a batch sequentially. At most
-    /// [`EngineConfig::queue_capacity`] requests are admitted; the rest
-    /// are shed immediately with `Overloaded` — an overloaded engine
-    /// answers fast rather than queueing into its own deadline. All
-    /// requests share one QoS class here, so the shed victims are simply
-    /// the latest arrivals (see [`estimate_batch_qos`](Self::estimate_batch_qos)
-    /// for class-aware shedding).
+    /// Process a batch sequentially. The first
+    /// [`EngineConfig::queue_capacity`] requests are admitted; the later
+    /// arrivals are shed immediately with `Overloaded` — an overloaded
+    /// engine answers fast rather than queueing into its own deadline.
+    /// Class-aware admission belongs to the server's scheduler.
     pub fn estimate_batch(&mut self, requests: &[(String, String)]) -> Vec<EstimateOutcome> {
-        let classed: Vec<(String, String, QosClass)> = requests
-            .iter()
-            .map(|(m, d)| (m.clone(), d.clone(), QosClass::Batch))
-            .collect();
-        self.estimate_batch_qos(&classed)
-    }
-
-    /// Class-aware batch processing: when the batch exceeds the queue
-    /// capacity, the excess is shed by **QoS priority** — best-effort
-    /// requests are dropped before batch, batch before interactive, and
-    /// within a class the latest arrivals go first. Admitted requests are
-    /// still processed in arrival order, so breaker trajectories stay a
-    /// pure function of the admitted sequence.
-    pub fn estimate_batch_qos(
-        &mut self,
-        requests: &[(String, String, QosClass)],
-    ) -> Vec<EstimateOutcome> {
-        let shed = self.shed_set(requests);
+        let capacity = self.config.queue_capacity;
         requests
             .iter()
             .enumerate()
-            .map(|(i, (model, device, class))| {
-                if shed.contains(&i) {
-                    ENGINE_REQUESTS.inc();
-                    ENGINE_OVERLOADED.inc();
-                    ENGINE_SHED.inc();
-                    obs::global()
-                        .counter(&format!("engine.shed.{}", class.name()))
-                        .inc();
-                    EstimateOutcome {
-                        model: model.clone(),
-                        device: device.clone(),
-                        kind: OutcomeKind::Overloaded,
-                        ipc: None,
-                        latency_ms: None,
-                        attempts: Vec::new(),
-                        elapsed_ms: 0.0,
-                        generation: None,
-                    }
-                } else {
-                    self.estimate(model, device)
+            .map(|(i, (model, device))| {
+                if i < capacity {
+                    return self.estimate(model, device);
+                }
+                ENGINE_REQUESTS.inc();
+                ENGINE_OVERLOADED.inc();
+                ENGINE_SHED.inc();
+                EstimateOutcome {
+                    model: model.clone(),
+                    device: device.clone(),
+                    kind: OutcomeKind::Overloaded,
+                    ipc: None,
+                    latency_ms: None,
+                    attempts: Vec::new(),
+                    elapsed_ms: 0.0,
+                    generation: None,
                 }
             })
             .collect()
-    }
-
-    /// Pick which batch indices to shed: lowest-priority class first,
-    /// latest arrival first within a class.
-    fn shed_set(
-        &self,
-        requests: &[(String, String, QosClass)],
-    ) -> std::collections::HashSet<usize> {
-        let excess = requests.len().saturating_sub(self.config.queue_capacity);
-        let mut victims: Vec<usize> = (0..requests.len()).collect();
-        // sort so the best victims come first: lower priority (higher
-        // rank) before higher, later arrival before earlier
-        victims.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(requests[i].2.priority()),
-                std::cmp::Reverse(i),
-            )
-        });
-        victims.into_iter().take(excess).collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -781,7 +738,7 @@ fn tier_work(
                 SimMode::Analytical
             };
             let report = Simulator::new(dev.clone(), mode)
-                .simulate_plan_budgeted(&analyzed.plan, &budget)
+                .simulate_plan(&analyzed.plan, &analyzed.counts, &budget)
                 .map_err(|e| e.to_string())?;
             // a live-tier success *is* ground truth: publish it with the
             // same feature row the regressor tier predicts from, so the
@@ -912,48 +869,6 @@ mod tests {
         let outs = engine.estimate_batch(&reqs);
         assert_eq!(outs.len(), 3);
         assert_eq!(outs[0].kind, OutcomeKind::Exhausted); // admitted, cache miss
-        assert_eq!(outs[1].kind, OutcomeKind::Overloaded);
-        assert_eq!(outs[2].kind, OutcomeKind::Overloaded);
-    }
-
-    #[test]
-    fn qos_batch_sheds_best_effort_before_interactive() {
-        // regression: shedding used to be by arrival index alone, so an
-        // interactive request arriving late was dropped while best-effort
-        // work ahead of it was served
-        let mut engine = ResilientEngine::new(EngineConfig {
-            queue_capacity: 2,
-            tiers: vec![Tier::StaleCache],
-            ..EngineConfig::default()
-        });
-        let reqs: Vec<(String, String, QosClass)> = vec![
-            ("m0".into(), "V100S".into(), QosClass::BestEffort),
-            ("m1".into(), "V100S".into(), QosClass::Batch),
-            ("m2".into(), "V100S".into(), QosClass::Interactive),
-            ("m3".into(), "V100S".into(), QosClass::BestEffort),
-        ];
-        let outs = engine.estimate_batch_qos(&reqs);
-        assert_eq!(outs.len(), 4);
-        // the two best-effort requests are the victims, latest first;
-        // batch and interactive are admitted regardless of arrival order
-        assert_eq!(outs[0].kind, OutcomeKind::Overloaded);
-        assert_ne!(outs[1].kind, OutcomeKind::Overloaded);
-        assert_ne!(outs[2].kind, OutcomeKind::Overloaded);
-        assert_eq!(outs[3].kind, OutcomeKind::Overloaded);
-    }
-
-    #[test]
-    fn qos_batch_sheds_latest_first_within_class() {
-        let mut engine = ResilientEngine::new(EngineConfig {
-            queue_capacity: 1,
-            tiers: vec![Tier::StaleCache],
-            ..EngineConfig::default()
-        });
-        let reqs: Vec<(String, String, QosClass)> = (0..3)
-            .map(|i| (format!("m{i}"), "V100S".into(), QosClass::Interactive))
-            .collect();
-        let outs = engine.estimate_batch_qos(&reqs);
-        assert_ne!(outs[0].kind, OutcomeKind::Overloaded);
         assert_eq!(outs[1].kind, OutcomeKind::Overloaded);
         assert_eq!(outs[2].kind, OutcomeKind::Overloaded);
     }

@@ -5,7 +5,7 @@
 use cnn_ir::{GraphError, ModelGraph, ModelSummary};
 use gpu_sim::{DeviceSpec, ProfileFault};
 use ptx::kernel::LaunchPlan;
-use ptx_analysis::{CountingReport, ExecError, PlanCount};
+use ptx_analysis::{CountMode, CountingReport, ExecError, PlanCount};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -130,12 +130,8 @@ pub fn profile_model_report(
     let summary = cnn_ir::analyze(model)?;
     let t0 = std::time::Instant::now();
     let plan = ptx_codegen::lower(model, target)?;
-    let (counts, counting) = ptx_analysis::count_plan_report_budgeted(
-        &plan,
-        true,
-        budget,
-        ptx_analysis::default_count_mode(),
-    )?;
+    let (counts, counting) =
+        ptx_analysis::count_plan_report_budgeted(&plan, true, budget, CountMode::Auto)?;
     let dca_seconds = t0.elapsed().as_secs_f64();
     let profile = CnnProfile {
         name: model.name().to_string(),

@@ -281,7 +281,9 @@ impl Server {
         let spawned = std::thread::Builder::new()
             .name("serve-session".into())
             .spawn(move || {
-                let _ = run_session(stream, writer, &scheduler, &cfg);
+                let (_, writer) = run_session(stream, writer, &scheduler, &cfg);
+                // the session stays active until its responses are written
+                let _ = writer.join();
                 active.fetch_sub(1, Ordering::SeqCst);
             });
         if spawned.is_err() {
@@ -291,10 +293,10 @@ impl Server {
 
     /// Serve one NDJSON session on stdin/stdout (no listener). Returns
     /// after stdin EOF or an in-band drain request, once the scheduler
-    /// has drained.
+    /// has drained and every response is written to stdout.
     pub fn run_stdio(&self) -> Result<DrainReport, ServeError> {
         install_signal_drain();
-        let _ = run_session(
+        let (_, writer) = run_session(
             std::io::stdin().lock(),
             std::io::stdout(),
             &self.scheduler,
@@ -303,6 +305,8 @@ impl Server {
         let report = self
             .scheduler
             .drain(Duration::from_millis(self.cfg.drain_deadline_ms));
+        // the drain answered every request, so the writer has its last frame
+        let _ = writer.join();
         self.cfg.drain.mark_stopped();
         Ok(report)
     }

@@ -12,8 +12,7 @@
 //!    sheds beyond it with a typed outcome instead of queueing into the
 //!    deadline.
 //! 3. **Shed priority** — under overload the lowest class is dropped
-//!    first: best-effort before batch before interactive (see
-//!    [`crate::engine::ResilientEngine::estimate_batch_qos`] and the
+//!    first: best-effort before batch before interactive (see the
 //!    scheduler's admission path).
 
 use serde::{Deserialize, Serialize};

@@ -9,7 +9,9 @@
 //! when the read loop ends, plus one clone per in-flight request — a
 //! client that disconnects mid-request therefore still drains its
 //! pending results (into a closed socket, counted as a disconnect)
-//! without wedging any worker.
+//! without wedging any worker. [`run_session`] hands the writer thread
+//! back, so a caller that needs every response on the wire joins it once
+//! the scheduler has answered the session's requests.
 
 use super::protocol::{parse_frame, render_error, render_ok, Frame, ProtocolError};
 use super::scheduler::Scheduler;
@@ -17,6 +19,7 @@ use super::ServerConfig;
 use std::io::{BufWriter, Read, Write};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Connections accepted (unix socket) or opened (stdio counts as one).
@@ -182,12 +185,13 @@ impl<R: Read> FrameReader<R> {
 }
 
 /// Spawn the writer half: drains response frames from the channel onto
-/// the client stream, one line each. Returns the sender side. Write
+/// the client stream, one line each. Returns the sender side and the
+/// writer thread, which ends once every sender has dropped. Write
 /// failures mark the session disconnected but keep draining the channel
 /// so scheduler workers never block on a dead client.
-fn spawn_writer<W: Write + Send + 'static>(writer: W) -> Sender<String> {
+fn spawn_writer<W: Write + Send + 'static>(writer: W) -> (Sender<String>, JoinHandle<()>) {
     let (tx, rx) = channel::<String>();
-    std::thread::Builder::new()
+    let thread = std::thread::Builder::new()
         .name("serve-writer".into())
         .spawn(move || {
             let mut out = BufWriter::new(writer);
@@ -208,7 +212,7 @@ fn spawn_writer<W: Write + Send + 'static>(writer: W) -> Sender<String> {
             }
         })
         .expect("spawn session writer");
-    tx
+    (tx, thread)
 }
 
 /// Why the session's read loop ended.
@@ -225,19 +229,22 @@ pub enum SessionEnd {
 /// Serve one connection until EOF, a stall, or a drain request. All
 /// protocol violations produce typed error frames; nothing here panics
 /// or wedges. The returned [`SessionEnd`] tells the accept loop whether
-/// the client requested a drain.
+/// the client requested a drain. The returned writer thread is still
+/// delivering: it finishes once the scheduler has answered every request
+/// the session submitted, so join it (after a drain, at the latest)
+/// before relying on the responses having been written.
 pub fn run_session<R, W>(
     reader: R,
     writer: W,
     scheduler: &Arc<Scheduler>,
     cfg: &ServerConfig,
-) -> SessionEnd
+) -> (SessionEnd, JoinHandle<()>)
 where
     R: Read,
     W: Write + Send + 'static,
 {
     SERVER_CONNECTIONS.inc();
-    let tx = spawn_writer(writer);
+    let (tx, writer) = spawn_writer(writer);
     let mut frames = FrameReader::new(reader, cfg.max_frame_bytes, cfg.frame_stall_ms);
     let mut drain_requested = false;
     let end = loop {
@@ -287,11 +294,12 @@ where
             ReadEvent::Eof => break SessionEnd::Eof,
         }
     };
-    if drain_requested && end == SessionEnd::Eof {
+    let end = if drain_requested && end == SessionEnd::Eof {
         SessionEnd::DrainRequested
     } else {
         end
-    }
+    };
+    (end, writer)
 }
 
 #[cfg(test)]

@@ -139,7 +139,9 @@ mod tests {
         let dev = gtx_1080_ti();
         let counts = count_launch(&k, &l, true).unwrap();
         let fast = estimate_launch(&k, &l, &counts, &dev).unwrap();
-        let slow = crate::detailed::simulate_launch(&k, &l, &dev)
+        let prepared = ptx_analysis::prepare_kernel(&k);
+        let budget = ptx_analysis::ExecBudget::default();
+        let slow = crate::detailed::simulate_launch(&prepared, &l, &counts, &dev, &budget)
             .unwrap()
             .cycles;
         let ratio = slow / fast;

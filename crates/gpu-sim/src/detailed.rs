@@ -16,8 +16,8 @@ use crate::occupancy::occupancy;
 use crate::specs::DeviceSpec;
 use crate::timing::{l2_hit_rate, timing_for, Timing};
 use ptx::inst::Category;
-use ptx::kernel::{Kernel, KernelLaunch};
-use ptx_analysis::{ExecBudget, ExecError, Machine, PreparedKernel};
+use ptx::kernel::KernelLaunch;
+use ptx_analysis::{ExecBudget, ExecError, LaunchCount, Machine, PreparedKernel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -68,25 +68,17 @@ pub const LAUNCH_OVERHEAD_US: f64 = 2.5;
 /// case dense layers tractable without changing the steady-state rate.
 const TRACE_CAP: usize = 262_144;
 
-/// Simulate one launch on `dev` in detail (unbounded budget), with the
-/// kernel prepared through the process-wide table.
+/// Simulate one launch on `dev` in detail. `counts` is the launch's exact
+/// instruction count from the analysis, reported as is; the simulation
+/// itself runs the representative thread's category trace. The budget's
+/// step fuel and cancellation token bound both the representative-thread
+/// execution and — via [`SIM_CANCEL_CHECK_EVENTS`] — the event-driven
+/// cycle loop itself, so a deadline-driven caller can abort a runaway
+/// simulation.
 pub fn simulate_launch(
-    kernel: &Kernel,
-    launch: &KernelLaunch,
-    dev: &DeviceSpec,
-) -> Result<LaunchSim, ExecError> {
-    let prepared = ptx_analysis::prepare_kernel(kernel);
-    simulate_launch_budgeted(&prepared, launch, dev, &ExecBudget::default())
-}
-
-/// [`simulate_launch`] over a prepared kernel and under an execution
-/// budget: the budget's step fuel and cancellation token bound both the
-/// representative-thread execution and — via [`SIM_CANCEL_CHECK_EVENTS`] —
-/// the event-driven cycle loop itself, so a deadline-driven caller can
-/// abort a runaway simulation.
-pub fn simulate_launch_budgeted(
     prepared: &PreparedKernel,
     launch: &KernelLaunch,
+    counts: &LaunchCount,
     dev: &DeviceSpec,
     budget: &ExecBudget,
 ) -> Result<LaunchSim, ExecError> {
@@ -111,15 +103,6 @@ pub fn simulate_launch_budgeted(
     )
     .with_budget(budget.clone());
     let (_, mut trace) = machine.run_traced(0, 0)?;
-
-    // exact counts for reporting (cheap: interval splitting)
-    let counts = ptx_analysis::count_prepared(
-        prepared,
-        launch,
-        true,
-        budget,
-        ptx_analysis::default_count_mode(),
-    )?;
 
     let trace_scale = if trace.len() > TRACE_CAP {
         let s = trace.len() as f64 / TRACE_CAP as f64;
@@ -323,7 +306,23 @@ mod tests {
     use crate::specs::{gtx_1080_ti, quadro_p1000, v100s};
     use ptx::builder::KernelBuilder;
     use ptx::inst::Operand;
+    use ptx::kernel::Kernel;
     use ptx::types::Type;
+
+    /// Count `l` as the analysis does, then simulate it under `budget`.
+    fn simulate(
+        k: &Kernel,
+        l: &KernelLaunch,
+        dev: &DeviceSpec,
+        budget: &ExecBudget,
+    ) -> Result<LaunchSim, ExecError> {
+        let counts = ptx_analysis::count_launch(k, l, true)?;
+        simulate_launch(&ptx_analysis::prepare_kernel(k), l, &counts, dev, budget)
+    }
+
+    fn sim(k: &Kernel, l: &KernelLaunch, dev: &DeviceSpec) -> Result<LaunchSim, ExecError> {
+        simulate(k, l, dev, &ExecBudget::default())
+    }
 
     fn guard_kernel(body: u32) -> Kernel {
         let mut kb = KernelBuilder::new("k", 256);
@@ -355,8 +354,8 @@ mod tests {
         // body heavy enough that waves dominate the fixed launch overhead
         let dev = gtx_1080_ti();
         let k = guard_kernel(64);
-        let small = simulate_launch(&k, &launch(&k, 1 << 18, vec![1 << 18], 0, 0), &dev).unwrap();
-        let large = simulate_launch(&k, &launch(&k, 1 << 24, vec![1 << 24], 0, 0), &dev).unwrap();
+        let small = sim(&k, &launch(&k, 1 << 18, vec![1 << 18], 0, 0), &dev).unwrap();
+        let large = sim(&k, &launch(&k, 1 << 24, vec![1 << 24], 0, 0), &dev).unwrap();
         assert!(
             large.cycles > small.cycles * 10.0,
             "small {} vs large {}",
@@ -377,8 +376,8 @@ mod tests {
             bytes_read: 512 * 512 * 8,
             bytes_written: 512 * 512 * 4,
         };
-        let big = simulate_launch(&k, &l, &v100s()).unwrap();
-        let small = simulate_launch(&k, &l, &quadro_p1000()).unwrap();
+        let big = sim(&k, &l, &v100s()).unwrap();
+        let small = sim(&k, &l, &quadro_p1000()).unwrap();
         assert!(
             small.cycles > 2.0 * big.cycles,
             "P1000 {} vs V100S {}",
@@ -393,8 +392,8 @@ mod tests {
         let k = ptx_codegen::Template::CopyF32.build();
         let n: u64 = 1 << 26; // 64M elements = 256 MB in + 256 MB out
         let l = launch(&k, n / 4, vec![0x1000, 0x2000, n], n * 4, n * 4);
-        let fast = simulate_launch(&k, &l, &v100s()).unwrap();
-        let slow = simulate_launch(&k, &l, &gtx_1080_ti()).unwrap();
+        let fast = sim(&k, &l, &v100s()).unwrap();
+        let slow = sim(&k, &l, &gtx_1080_ti()).unwrap();
         // V100S has 2.3x the bandwidth; allow a broad band
         let ratio = slow.cycles / fast.cycles;
         assert!(ratio > 1.3, "expected bandwidth-driven gap, got {ratio}");
@@ -411,7 +410,7 @@ mod tests {
             bytes_read: 4000,
             bytes_written: 4,
         };
-        let s = simulate_launch(&k, &l, &gtx_1080_ti()).unwrap();
+        let s = sim(&k, &l, &gtx_1080_ti()).unwrap();
         assert!(s.cycles.is_finite() && s.cycles > 0.0);
     }
 
@@ -427,7 +426,7 @@ mod tests {
             bytes_written: 1024 * 1024 * 4,
         };
         let dev = gtx_1080_ti();
-        let s = simulate_launch(&k, &l, &dev).unwrap();
+        let s = sim(&k, &l, &dev).unwrap();
         let ipc_per_sm = s.warp_instructions as f64 / s.cycles / dev.sm_count as f64;
         assert!(
             (0.05..4.0).contains(&ipc_per_sm),
@@ -446,7 +445,7 @@ mod tests {
         let l = launch(&k, 1 << 22, vec![1 << 22], 0, 0);
         let token = Arc::new(AtomicBool::new(true));
         let budget = ExecBudget::default().with_cancel(token);
-        match simulate_launch_budgeted(&ptx_analysis::prepare_kernel(&k), &l, &dev, &budget) {
+        match simulate(&k, &l, &dev, &budget) {
             Err(ExecError::Cancelled { step, .. }) => {
                 // observed within the documented bound: the representative
                 // execution checks at step 0, the wave loop within
@@ -467,10 +466,9 @@ mod tests {
         let dev = gtx_1080_ti();
         let k = guard_kernel(16);
         let l = launch(&k, 1 << 18, vec![200_000], 1 << 22, 1 << 20);
-        let plain = simulate_launch(&k, &l, &dev).unwrap();
+        let plain = sim(&k, &l, &dev).unwrap();
         let budget = ExecBudget::default().with_cancel(Arc::new(AtomicBool::new(false)));
-        let budgeted =
-            simulate_launch_budgeted(&ptx_analysis::prepare_kernel(&k), &l, &dev, &budget).unwrap();
+        let budgeted = simulate(&k, &l, &dev, &budget).unwrap();
         assert_eq!(plain.cycles, budgeted.cycles);
         assert_eq!(plain.warp_instructions, budgeted.warp_instructions);
     }
@@ -496,12 +494,7 @@ mod tests {
         let budget = ExecBudget::default().with_max_steps(SIM_CANCEL_CHECK_EVENTS);
         // representative execution fits in the fuel; the wave loop (many
         // warps x trace) does not
-        match simulate_launch_budgeted(
-            &ptx_analysis::prepare_kernel(&k),
-            &l,
-            &gtx_1080_ti(),
-            &budget,
-        ) {
+        match simulate(&k, &l, &gtx_1080_ti(), &budget) {
             Err(ExecError::StepLimit { .. }) => {}
             other => panic!("expected StepLimit, got {other:?}"),
         }
@@ -518,7 +511,7 @@ mod tests {
         kb.ret();
         let k = kb.finish();
         let l = launch(&k, 1 << 12, vec![], 0, 0);
-        match simulate_launch(&k, &l, &dev) {
+        match sim(&k, &l, &dev) {
             Err(ExecError::Unlaunchable { kernel, .. }) => assert_eq!(kernel, "shared_hog"),
             other => panic!("expected Unlaunchable, got {other:?}"),
         }
@@ -529,8 +522,8 @@ mod tests {
         let dev = gtx_1080_ti();
         let k = guard_kernel(16);
         let l = launch(&k, 1 << 18, vec![200_000], 1 << 22, 1 << 20);
-        let a = simulate_launch(&k, &l, &dev).unwrap();
-        let b = simulate_launch(&k, &l, &dev).unwrap();
+        let a = sim(&k, &l, &dev).unwrap();
+        let b = sim(&k, &l, &dev).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.warp_instructions, b.warp_instructions);
     }

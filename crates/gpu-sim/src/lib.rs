@@ -15,11 +15,19 @@
 //! - [`profiler`] — `nvprof`-like facade with deterministic measurement
 //!   jitter
 //!
+//! The simulators take the instruction counts the analysis already made;
+//! they never count a launch themselves.
+//!
 //! ```no_run
+//! use gpu_sim::{SimMode, Simulator};
+//! use ptx_analysis::ExecBudget;
+//!
 //! let model = cnn_ir::zoo::build("mobilenet").unwrap();
 //! let plan = ptx_codegen::lower(&model, "sm_61").unwrap();
-//! let rec = gpu_sim::profile(&plan, &gpu_sim::specs::gtx_1080_ti()).unwrap();
-//! println!("IPC = {:.3}", rec.ipc);
+//! let counts = ptx_analysis::count_plan(&plan, true).unwrap();
+//! let sim = Simulator::new(gpu_sim::specs::gtx_1080_ti(), SimMode::Detailed);
+//! let report = sim.simulate_plan(&plan, &counts, &ExecBudget::default()).unwrap();
+//! println!("IPC = {:.3}", report.ipc);
 //! ```
 
 pub mod analytical;
@@ -33,7 +41,7 @@ pub mod specs;
 pub mod timing;
 
 pub use analytical::{estimate_launch_prec, Precision};
-pub use detailed::{simulate_launch, simulate_launch_budgeted, SIM_CANCEL_CHECK_EVENTS};
+pub use detailed::{simulate_launch, SIM_CANCEL_CHECK_EVENTS};
 pub use faults::{
     ChaosInjector, ChaosProfile, FaultInjector, FaultOutcome, FaultProfile, TierFaultKind,
 };
@@ -41,8 +49,7 @@ pub use machine::{SimMode, SimReport, Simulator};
 pub use occupancy::{occupancy, Limiter, Occupancy};
 pub use power::{estimate as estimate_power, PowerReport};
 pub use profiler::{
-    mad, median, profile, profile_robust, profile_robust_budgeted, profile_run,
-    profile_run_budgeted, profile_stats, robust_filter, ProfileFault, ProfileRecord, ProfileStats,
-    RetryPolicy, RobustFilter, RobustProfile, MAD_K, MAD_SIGMA,
+    mad, median, profile_robust_budgeted, robust_filter, ProfileFault, ProfileRecord, RetryPolicy,
+    RobustFilter, RobustProfile, MAD_K, MAD_SIGMA,
 };
 pub use specs::{all_devices, device_by_name, training_devices, DeviceSpec};

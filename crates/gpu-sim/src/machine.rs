@@ -1,10 +1,10 @@
 //! Whole-plan simulation: run every launch of a [`LaunchPlan`] on a device
 //! and aggregate cycles, instruction counts and the headline IPC metric.
 
-use crate::detailed::{simulate_launch_budgeted, LaunchSim};
+use crate::detailed::{simulate_launch, LaunchSim};
 use crate::specs::DeviceSpec;
 use ptx::kernel::{KernelLaunch, LaunchPlan};
-use ptx_analysis::{ExecBudget, ExecError, PreparedKernel};
+use ptx_analysis::{ExecBudget, ExecError, PlanCount, PreparedKernel};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -65,43 +65,44 @@ impl Simulator {
     }
 
     /// Simulate a full launch plan (serialized launches, as in single-stream
-    /// inference).
-    pub fn simulate_plan(&self, plan: &LaunchPlan) -> Result<SimReport, ExecError> {
-        self.simulate_plan_budgeted(plan, &ExecBudget::default())
-    }
-
-    /// [`simulate_plan`] under an execution budget: the budget's step fuel
-    /// and cancellation token propagate into every per-launch simulation
-    /// (detailed cycle loops included), so a deadline-driven caller can
-    /// abort the whole plan cooperatively.
-    pub fn simulate_plan_budgeted(
+    /// inference). `counts` is the plan's count from the analysis, one
+    /// entry per launch; the simulator reports those counts and never
+    /// counts a launch itself. The budget's step fuel and cancellation
+    /// token propagate into every per-launch simulation (detailed cycle
+    /// loops included), so a deadline-driven caller can abort the whole
+    /// plan cooperatively.
+    pub fn simulate_plan(
         &self,
         plan: &LaunchPlan,
+        counts: &PlanCount,
         budget: &ExecBudget,
     ) -> Result<SimReport, ExecError> {
-        // every launched kernel comes from the process-wide table, resolved
-        // once per plan
-        let prepared = ptx_analysis::prepare_plan(plan);
+        assert_eq!(
+            counts.per_launch.len(),
+            plan.launches.len(),
+            "one count per launch of `{}`",
+            plan.model_name
+        );
         let sims: Vec<LaunchSim> = match self.mode {
-            SimMode::Detailed => self.run_memoized(plan, &prepared, budget)?,
-            SimMode::DetailedNoMemo => plan
-                .launches
-                .par_iter()
-                .map(|l| simulate_launch_budgeted(kernel_of(&prepared, l), l, &self.dev, budget))
-                .collect::<Result<_, _>>()?,
-            SimMode::Analytical => plan
-                .launches
-                .par_iter()
-                .map(|l| {
-                    let k = kernel_of(&prepared, l);
-                    let mode = ptx_analysis::default_count_mode();
-                    let counts = ptx_analysis::count_prepared(k, l, true, budget, mode)?;
-                    let cycles =
-                        crate::analytical::estimate_launch(k.kernel(), l, &counts, &self.dev)?;
+            SimMode::Detailed => self.run_memoized(plan, counts, budget)?,
+            SimMode::DetailedNoMemo => {
+                // every launched kernel comes from the process-wide table,
+                // resolved once per plan
+                let prepared = ptx_analysis::prepare_plan(plan);
+                (plan.launches.par_iter().enumerate())
+                    .map(|(i, l)| {
+                        let k = kernel_of(&prepared, l);
+                        simulate_launch(k, l, &counts.per_launch[i], &self.dev, budget)
+                    })
+                    .collect::<Result<_, _>>()?
+            }
+            SimMode::Analytical => (plan.launches.par_iter().enumerate())
+                .map(|(i, l)| {
+                    let (k, c) = (&plan.module.kernels[l.kernel], &counts.per_launch[i]);
                     Ok(LaunchSim {
-                        cycles,
-                        warp_instructions: counts.warp_issues,
-                        thread_instructions: counts.thread_instructions,
+                        cycles: crate::analytical::estimate_launch(k, l, c, &self.dev)?,
+                        warp_instructions: c.warp_issues,
+                        thread_instructions: c.thread_instructions,
                         dram_bytes: (l.bytes_read + l.bytes_written) as f64,
                         l2_hit: crate::timing::l2_hit_rate(l.bytes_read, self.dev.l2_cache_kb),
                         active_sms: self.dev.sm_count,
@@ -150,15 +151,16 @@ impl Simulator {
     fn run_memoized(
         &self,
         plan: &LaunchPlan,
-        prepared: &[Option<Arc<PreparedKernel>>],
+        counts: &PlanCount,
         budget: &ExecBudget,
     ) -> Result<Vec<LaunchSim>, ExecError> {
+        let prepared = ptx_analysis::prepare_plan(plan);
         let (firsts, group_of) = ptx_analysis::group_launches(&plan.launches, |l| {
             (
                 l.kernel,
                 l.grid,
                 l.args.len(),
-                kernel_of(prepared, l).read_args(&l.args),
+                kernel_of(&prepared, l).read_args(&l.args),
                 l.bytes_read,
                 l.bytes_written,
             )
@@ -169,7 +171,8 @@ impl Simulator {
             .par_iter()
             .map(|&i| {
                 let l = &plan.launches[i];
-                simulate_launch_budgeted(kernel_of(prepared, l), l, &self.dev, budget)
+                let k = kernel_of(&prepared, l);
+                simulate_launch(k, l, &counts.per_launch[i], &self.dev, budget)
             })
             .collect::<Result<_, _>>()?;
         Ok(group_of.iter().map(|&g| sims[g].clone()).collect())
@@ -196,10 +199,17 @@ mod tests {
         ptx_codegen::lower(&model, "sm_61").unwrap()
     }
 
+    /// Count `plan` as the analysis does, then simulate it.
+    fn run(sim: &Simulator, plan: &LaunchPlan) -> SimReport {
+        let counts = ptx_analysis::count_plan(plan, true).unwrap();
+        sim.simulate_plan(plan, &counts, &ExecBudget::default())
+            .unwrap()
+    }
+
     #[test]
     fn alexnet_simulates_on_1080ti() {
         let sim = Simulator::new(gtx_1080_ti(), SimMode::Detailed);
-        let r = sim.simulate_plan(&plan_for("alexnet")).unwrap();
+        let r = run(&sim, &plan_for("alexnet"));
         assert!(r.cycles > 0.0);
         assert!(r.ipc > 0.01 && r.ipc < 8.0, "ipc {}", r.ipc);
         // AlexNet inference on a 1080 Ti is single-digit milliseconds in
@@ -214,12 +224,11 @@ mod tests {
     #[test]
     fn memoized_equals_unmemoized() {
         let plan = plan_for("alexnet");
-        let a = Simulator::new(gtx_1080_ti(), SimMode::Detailed)
-            .simulate_plan(&plan)
-            .unwrap();
-        let b = Simulator::new(gtx_1080_ti(), SimMode::DetailedNoMemo)
-            .simulate_plan(&plan)
-            .unwrap();
+        let a = run(&Simulator::new(gtx_1080_ti(), SimMode::Detailed), &plan);
+        let b = run(
+            &Simulator::new(gtx_1080_ti(), SimMode::DetailedNoMemo),
+            &plan,
+        );
         assert_eq!(a.warp_instructions, b.warp_instructions);
         assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
     }
@@ -227,12 +236,7 @@ mod tests {
     #[test]
     fn device_ordering_holds() {
         let plan = plan_for("mobilenet");
-        let lat = |dev: DeviceSpec| {
-            Simulator::new(dev, SimMode::Detailed)
-                .simulate_plan(&plan)
-                .unwrap()
-                .latency_ms
-        };
+        let lat = |dev: DeviceSpec| run(&Simulator::new(dev, SimMode::Detailed), &plan).latency_ms;
         let v100 = lat(v100s());
         let gtx = lat(gtx_1080_ti());
         let p1000 = lat(quadro_p1000());
@@ -243,8 +247,8 @@ mod tests {
     #[test]
     fn ipc_varies_across_models() {
         let sim = Simulator::new(gtx_1080_ti(), SimMode::Detailed);
-        let a = sim.simulate_plan(&plan_for("alexnet")).unwrap().ipc;
-        let b = sim.simulate_plan(&plan_for("mobilenet")).unwrap().ipc;
+        let a = run(&sim, &plan_for("alexnet")).ipc;
+        let b = run(&sim, &plan_for("mobilenet")).ipc;
         assert!(
             (a - b).abs() > 1e-3,
             "IPC suspiciously identical: {a} vs {b}"

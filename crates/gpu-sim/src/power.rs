@@ -144,10 +144,10 @@ mod tests {
     fn run(name: &str, dev: &DeviceSpec) -> (SimReport, PlanCount) {
         let model = cnn_ir::zoo::build(name).expect("zoo model");
         let plan = ptx_codegen::lower(&model, &dev.sm_target()).expect("lowering");
-        let sim = Simulator::new(dev.clone(), SimMode::Detailed)
-            .simulate_plan(&plan)
-            .expect("simulation");
         let counts = ptx_analysis::count_plan(&plan, true).expect("counts");
+        let sim = Simulator::new(dev.clone(), SimMode::Detailed)
+            .simulate_plan(&plan, &counts, &ptx_analysis::ExecBudget::default())
+            .expect("simulation");
         (sim, counts)
     }
 

@@ -1,16 +1,17 @@
 //! An `nvprof`-like profiling facade over the simulator.
 //!
-//! [`profile`] "runs" a CNN on a device the way the paper's naive approach
-//! does — full detailed simulation of every launch — and reports the IPC
-//! metric with a small deterministic run-to-run jitter emulating real
-//! profiler variance. The jitter is seeded by (model, device, run) so
-//! experiments are reproducible.
+//! [`profile_robust_budgeted`] "runs" a CNN on a device the way the
+//! paper's naive approach does — full detailed simulation of every launch —
+//! and reports the IPC metric of repeated runs, each with a small
+//! deterministic run-to-run jitter emulating real profiler variance. The
+//! jitter is seeded by (model, device, run) so experiments are
+//! reproducible.
 
 use crate::faults::{FaultInjector, FaultOutcome};
 use crate::machine::{SimMode, SimReport, Simulator};
 use crate::specs::DeviceSpec;
 use ptx::kernel::LaunchPlan;
-use ptx_analysis::{ExecBudget, ExecError};
+use ptx_analysis::{CountMode, ExecBudget, ExecError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -47,8 +48,9 @@ pub struct ProfileRecord {
     pub latency_ms: f64,
     pub thread_instructions: u64,
     pub warp_instructions: u64,
-    /// Wall-clock seconds the profiling itself took (the `t_p` of the
-    /// paper's Table IV).
+    /// Wall-clock seconds of this run alone. The robust protocol simulates
+    /// once per cell, so its records carry 0 and the cell's time (the `t_p`
+    /// of the paper's Table IV) is [`RobustProfile::profiling_wall_s`].
     pub profiling_wall_s: f64,
 }
 
@@ -74,91 +76,6 @@ fn gaussian(seed: u64) -> f64 {
     let u1 = next().max(1e-12);
     let u2 = next();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Profile one lowered model on one device (run index 0).
-pub fn profile(plan: &LaunchPlan, dev: &DeviceSpec) -> Result<ProfileRecord, ExecError> {
-    profile_run(plan, dev, 0)
-}
-
-/// Profile with an explicit run index (distinct jitter per run).
-pub fn profile_run(
-    plan: &LaunchPlan,
-    dev: &DeviceSpec,
-    run: u32,
-) -> Result<ProfileRecord, ExecError> {
-    profile_run_budgeted(plan, dev, run, &ExecBudget::default())
-}
-
-/// [`profile_run`] under an execution budget: the budget's cancellation
-/// token and step fuel bound the underlying detailed simulation, so a
-/// deadline-driven caller (the resilient estimation engine's detailed
-/// tier) can kill a wedged profile instead of waiting forever.
-pub fn profile_run_budgeted(
-    plan: &LaunchPlan,
-    dev: &DeviceSpec,
-    run: u32,
-    budget: &ExecBudget,
-) -> Result<ProfileRecord, ExecError> {
-    let t0 = std::time::Instant::now();
-    let report: SimReport =
-        Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan_budgeted(plan, budget)?;
-    let wall = t0.elapsed().as_secs_f64();
-
-    let seed = hash_seed(&plan.model_name, &dev.name, run);
-    let noise = 1.0 + JITTER_REL * gaussian(seed);
-    Ok(ProfileRecord {
-        model_name: report.model_name.clone(),
-        device_name: report.device_name.clone(),
-        ipc: report.ipc * noise,
-        ipc_clean: report.ipc,
-        cycles: report.cycles,
-        latency_ms: report.latency_ms,
-        thread_instructions: report.thread_instructions,
-        warp_instructions: report.warp_instructions,
-        profiling_wall_s: wall,
-    })
-}
-
-/// Aggregate over repeated profiling runs (real profiling protocols take
-/// the mean of several `nvprof` replicates; so does this).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProfileStats {
-    pub model_name: String,
-    pub device_name: String,
-    pub runs: u32,
-    pub ipc_mean: f64,
-    pub ipc_std: f64,
-    pub records: Vec<ProfileRecord>,
-}
-
-/// Profile `runs` replicates and aggregate. The simulation runs once; only
-/// the measurement jitter differs per replicate (as on quiet hardware).
-pub fn profile_stats(
-    plan: &LaunchPlan,
-    dev: &DeviceSpec,
-    runs: u32,
-) -> Result<ProfileStats, ExecError> {
-    assert!(runs >= 1);
-    let mut records = Vec::with_capacity(runs as usize);
-    for r in 0..runs {
-        records.push(profile_run(plan, dev, r)?);
-    }
-    let n = runs as f64;
-    let mean = records.iter().map(|r| r.ipc).sum::<f64>() / n;
-    let var = records
-        .iter()
-        .map(|r| (r.ipc - mean) * (r.ipc - mean))
-        .sum::<f64>()
-        / n;
-    Ok(ProfileStats {
-        model_name: plan.model_name.clone(),
-        device_name: dev.name.clone(),
-        runs,
-        ipc_mean: mean,
-        ipc_std: var.sqrt(),
-        records,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -434,28 +351,19 @@ impl RobustProfile {
 /// injected transient failures per [`RetryPolicy`], then reject outliers
 /// with the median/MAD filter and report the median of the survivors.
 ///
-/// The detailed simulation runs once (the hardware is deterministic);
-/// per-run measurement noise and injected faults are replayed on top of
-/// it, exactly as [`profile_run`] would produce for each run index — so a
-/// fault-free robust profile of run 0 equals `profile_run(plan, dev, 0)`.
+/// The plan is counted once and simulated once (the hardware is
+/// deterministic); per-run measurement noise and injected faults are
+/// replayed on top of it. A fault-free single run therefore reports the
+/// simulator's IPC times run 0's jitter.
+///
+/// The budget's cancellation token and heartbeat observer bound and
+/// instrument the counting and the detailed simulation, so a supervising
+/// watchdog can detect a wedged cell and cancel it instead of hanging the
+/// whole corpus build.
 ///
 /// Permanent failures ([`ProfileFault::Sim`]) propagate immediately; runs
 /// whose retry budget is exhausted are dropped, and only if *every* run
 /// dies does the whole cell fail with [`ProfileFault::NoValidRuns`].
-pub fn profile_robust(
-    plan: &LaunchPlan,
-    dev: &DeviceSpec,
-    runs: u32,
-    policy: &RetryPolicy,
-    injector: &FaultInjector,
-) -> Result<RobustProfile, ProfileFault> {
-    profile_robust_budgeted(plan, dev, runs, policy, injector, &ExecBudget::default())
-}
-
-/// [`profile_robust`] under an explicit execution budget: the budget's
-/// cancellation token and heartbeat observer bound and instrument the
-/// underlying detailed simulation, so a supervising watchdog can detect a
-/// wedged cell and cancel it instead of hanging the whole corpus build.
 pub fn profile_robust_budgeted(
     plan: &LaunchPlan,
     dev: &DeviceSpec,
@@ -469,9 +377,9 @@ pub fn profile_robust_budgeted(
     PROFILE_CELLS.inc();
     let _cell_span = PROFILE_CELL_US.span();
     let t0 = std::time::Instant::now();
-    let report: SimReport = Simulator::new(dev.clone(), SimMode::Detailed)
-        .simulate_plan_budgeted(plan, budget)
-        .map_err(ProfileFault::Sim)?;
+    let counts = ptx_analysis::count_plan_mode_budgeted(plan, true, budget, CountMode::Auto)?;
+    let report: SimReport =
+        Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan(plan, &counts, budget)?;
 
     let mut records: Vec<ProfileRecord> = Vec::with_capacity(runs as usize);
     let mut transient_retries = 0u32;
@@ -577,43 +485,58 @@ mod tests {
         ptx_codegen::lower(&model, "sm_61").unwrap()
     }
 
+    /// Profile `p` on the 1080 Ti with no retry backoff and no budget.
+    fn profile_1080ti(
+        p: &LaunchPlan,
+        runs: u32,
+        policy: &RetryPolicy,
+        injector: &FaultInjector,
+    ) -> Result<RobustProfile, ProfileFault> {
+        let budget = ExecBudget::default();
+        profile_robust_budgeted(p, &gtx_1080_ti(), runs, policy, injector, &budget)
+    }
+
+    fn fault_free(p: &LaunchPlan, runs: u32) -> RobustProfile {
+        let injector = FaultInjector::new(FaultProfile::none());
+        profile_1080ti(p, runs, &RetryPolicy::no_backoff(), &injector).unwrap()
+    }
+
     #[test]
     fn jitter_is_small_and_deterministic() {
         let p = plan();
-        let dev = gtx_1080_ti();
-        let a = profile_run(&p, &dev, 0).unwrap();
-        let b = profile_run(&p, &dev, 0).unwrap();
-        assert_eq!(a.ipc, b.ipc, "same run index must reproduce exactly");
-        let c = profile_run(&p, &dev, 1).unwrap();
-        assert_ne!(a.ipc, c.ipc, "different runs must differ");
-        let rel = (a.ipc - a.ipc_clean).abs() / a.ipc_clean;
+        let a = fault_free(&p, 2);
+        let b = fault_free(&p, 2);
+        let (a0, a1) = (&a.records[0], &a.records[1]);
+        assert_eq!(a0.ipc, b.records[0].ipc, "same run index must reproduce");
+        assert_ne!(a0.ipc, a1.ipc, "different runs must differ");
+        let rel = (a0.ipc - a0.ipc_clean).abs() / a0.ipc_clean;
         assert!(rel < 0.10, "jitter {rel} too large");
     }
 
     #[test]
     fn wall_time_is_recorded() {
-        let p = plan();
-        let r = profile(&p, &gtx_1080_ti()).unwrap();
-        assert!(r.profiling_wall_s > 0.0);
+        assert!(fault_free(&plan(), 1).profiling_wall_s > 0.0);
     }
 
     #[test]
     fn robust_matches_single_run_without_faults() {
         let p = plan();
-        let dev = gtx_1080_ti();
-        let injector = FaultInjector::new(FaultProfile::none());
-        let robust = profile_robust(&p, &dev, 1, &RetryPolicy::no_backoff(), &injector).unwrap();
-        let single = profile_run(&p, &dev, 0).unwrap();
-        assert_eq!(robust.ipc, single.ipc, "fault-free run 0 must be identical");
+        let robust = fault_free(&p, 1);
+        let counts = ptx_analysis::count_plan(&p, true).unwrap();
+        let budget = ExecBudget::default();
+        let sim = Simulator::new(gtx_1080_ti(), SimMode::Detailed)
+            .simulate_plan(&p, &counts, &budget)
+            .unwrap();
+        let jitter = 1.0 + JITTER_REL * gaussian(hash_seed(&p.model_name, "GTX 1080 Ti", 0));
+        assert_eq!(robust.ipc, sim.ipc * jitter, "fault-free run 0 is exact");
         assert!(!robust.degraded());
     }
 
     #[test]
     fn robust_survives_harsh_faults_near_clean_ipc() {
         let p = plan();
-        let dev = gtx_1080_ti();
         let injector = FaultInjector::new(FaultProfile::harsh().with_seed(11));
-        let r = profile_robust(&p, &dev, 9, &RetryPolicy::no_backoff(), &injector).unwrap();
+        let r = profile_1080ti(&p, 9, &RetryPolicy::no_backoff(), &injector).unwrap();
         let rel = (r.ipc - r.ipc_clean).abs() / r.ipc_clean;
         assert!(rel < 0.02, "robust estimate off by {rel}");
         assert!(r.records.len() as u32 + r.rejected_outliers + r.failed_runs == 9);
@@ -622,10 +545,9 @@ mod tests {
     #[test]
     fn robust_is_deterministic_under_faults() {
         let p = plan();
-        let dev = gtx_1080_ti();
         let injector = FaultInjector::new(FaultProfile::harsh().with_seed(5));
-        let a = profile_robust(&p, &dev, 7, &RetryPolicy::no_backoff(), &injector).unwrap();
-        let b = profile_robust(&p, &dev, 7, &RetryPolicy::no_backoff(), &injector).unwrap();
+        let a = profile_1080ti(&p, 7, &RetryPolicy::no_backoff(), &injector).unwrap();
+        let b = profile_1080ti(&p, 7, &RetryPolicy::no_backoff(), &injector).unwrap();
         assert_eq!(a.ipc, b.ipc);
         assert_eq!(a.transient_retries, b.transient_retries);
         assert_eq!(a.rejected_outliers, b.rejected_outliers);
@@ -635,7 +557,6 @@ mod tests {
     #[test]
     fn all_runs_failing_reports_no_valid_runs() {
         let p = plan();
-        let dev = gtx_1080_ti();
         let always_fail = FaultInjector::new(FaultProfile {
             transient_rate: 1.0,
             ..FaultProfile::none()
@@ -644,7 +565,7 @@ mod tests {
             max_attempts: 2,
             ..RetryPolicy::no_backoff()
         };
-        let err = profile_robust(&p, &dev, 3, &policy, &always_fail).unwrap_err();
+        let err = profile_1080ti(&p, 3, &policy, &always_fail).unwrap_err();
         assert!(matches!(err, ProfileFault::NoValidRuns { runs: 3, .. }));
         assert!(err.permanent(), "giving up after retries is terminal");
     }
@@ -689,17 +610,22 @@ mod tests {
     }
 
     #[test]
-    fn replicate_stats_center_on_clean_ipc() {
-        let p = plan();
-        let s = profile_stats(&p, &gtx_1080_ti(), 16).unwrap();
-        assert_eq!(s.records.len(), 16);
-        let clean = s.records[0].ipc_clean;
+    fn replicates_center_on_clean_ipc() {
+        let r = fault_free(&plan(), 16);
+        assert_eq!(r.records.len(), 16);
+        let clean = r.ipc_clean;
+        let mean = r.records.iter().map(|x| x.ipc).sum::<f64>() / 16.0;
+        let var = r
+            .records
+            .iter()
+            .map(|x| (x.ipc - mean).powi(2))
+            .sum::<f64>()
+            / 16.0;
         // mean of 16 jittered replicates within ~2% of the clean value
         assert!(
-            ((s.ipc_mean - clean) / clean).abs() < 0.02,
-            "mean {} vs clean {clean}",
-            s.ipc_mean
+            ((mean - clean) / clean).abs() < 0.02,
+            "mean {mean} vs clean {clean}"
         );
-        assert!(s.ipc_std > 0.0 && s.ipc_std / clean < 0.05);
+        assert!(var > 0.0 && var.sqrt() / clean < 0.05);
     }
 }

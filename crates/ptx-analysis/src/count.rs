@@ -26,7 +26,7 @@ use ptx::kernel::{Kernel, KernelLaunch, LaunchPlan};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Warp width of every modeled GPU.
@@ -45,7 +45,9 @@ static POLY_EVALS: obs::LazyCounter = obs::LazyCounter::new("ptx.poly.evals");
 /// `ptx.poly.fallbacks`).
 static POLY_EVAL_FALLBACKS: obs::LazyCounter = obs::LazyCounter::new("ptx.poly.eval_fallbacks");
 
-/// How `count_launch`/`count_plan` evaluate representative threads.
+/// How the counting layer evaluates representative threads. Counts are
+/// identical in every mode; [`count_launch`] and [`count_plan`] count in
+/// `Auto`, and the `_mode` entry points take the mode explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CountMode {
     /// Compile to trip-count polynomials; fall back to the interpreter
@@ -60,42 +62,6 @@ pub enum CountMode {
     Bruteforce,
 }
 
-impl CountMode {
-    fn as_u8(self) -> u8 {
-        match self {
-            CountMode::Auto => 0,
-            CountMode::Poly => 1,
-            CountMode::Interp => 2,
-            CountMode::Bruteforce => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            1 => CountMode::Poly,
-            2 => CountMode::Interp,
-            3 => CountMode::Bruteforce,
-            _ => CountMode::Auto,
-        }
-    }
-}
-
-impl std::str::FromStr for CountMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(CountMode::Auto),
-            "poly" => Ok(CountMode::Poly),
-            "interp" => Ok(CountMode::Interp),
-            "bruteforce" => Ok(CountMode::Bruteforce),
-            other => Err(format!(
-                "unknown count mode '{other}' (expected auto|poly|interp|bruteforce)"
-            )),
-        }
-    }
-}
-
 impl std::fmt::Display for CountMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -105,20 +71,6 @@ impl std::fmt::Display for CountMode {
             CountMode::Bruteforce => "bruteforce",
         })
     }
-}
-
-static DEFAULT_COUNT_MODE: AtomicU8 = AtomicU8::new(0); // Auto
-
-/// Set the process-wide default [`CountMode`] used by the non-`_mode`
-/// counting entry points (and therefore by every engine tier and corpus
-/// build that doesn't pass a mode explicitly).
-pub fn set_default_count_mode(mode: CountMode) {
-    DEFAULT_COUNT_MODE.store(mode.as_u8(), Ordering::Relaxed);
-}
-
-/// The process-wide default [`CountMode`].
-pub fn default_count_mode() -> CountMode {
-    CountMode::from_u8(DEFAULT_COUNT_MODE.load(Ordering::Relaxed))
 }
 
 /// Exact instruction statistics for one kernel launch.
@@ -203,9 +155,9 @@ impl From<ExecError> for RunErr {
     }
 }
 
-/// Count one launch exactly. `use_slice` enables slice-mode execution (the
-/// paper's `G_v*` optimization; results are identical, evaluation is
-/// cheaper). Uses the process-wide default [`CountMode`].
+/// Count one launch exactly, in [`CountMode::Auto`]. `use_slice` enables
+/// slice-mode execution (the paper's `G_v*` optimization; results are
+/// identical, evaluation is cheaper).
 pub fn count_launch(
     kernel: &Kernel,
     launch: &KernelLaunch,
@@ -216,7 +168,7 @@ pub fn count_launch(
         launch,
         use_slice,
         &ExecBudget::default(),
-        default_count_mode(),
+        CountMode::Auto,
     )
 }
 
@@ -235,19 +187,15 @@ pub fn count_launch_mode(
     if mode == CountMode::Bruteforce {
         return count_launch_bruteforce(kernel, launch);
     }
-    count_prepared(&prepare_kernel(kernel), launch, use_slice, budget, mode)
-}
-
-/// [`count_launch_mode`] over a kernel already taken from the table, for
-/// callers that resolve a plan's kernels once and count many launches.
-pub fn count_prepared(
-    kernel: &PreparedKernel,
-    launch: &KernelLaunch,
-    use_slice: bool,
-    budget: &ExecBudget,
-    mode: CountMode,
-) -> Result<LaunchCount, ExecError> {
-    count_on(kernel, launch, use_slice, budget, mode, &AtomicU32::new(0))
+    let prepared = prepare_kernel(kernel);
+    count_on(
+        &prepared,
+        launch,
+        use_slice,
+        budget,
+        mode,
+        &AtomicU32::new(0),
+    )
 }
 
 /// The one counting path: poly tier first in `Auto`/`Poly`, the dense
@@ -595,14 +543,9 @@ pub fn count_launch_bruteforce(
 
 /// Count a whole launch plan, in parallel over its distinct launch shapes
 /// (see [`CountingReport::unique_launches`]); launches of one shape share
-/// one count. Uses the process-wide default [`CountMode`].
+/// one count. Counts in [`CountMode::Auto`].
 pub fn count_plan(plan: &LaunchPlan, use_slice: bool) -> Result<PlanCount, ExecError> {
-    count_plan_mode_budgeted(
-        plan,
-        use_slice,
-        &ExecBudget::default(),
-        default_count_mode(),
-    )
+    count_plan_mode_budgeted(plan, use_slice, &ExecBudget::default(), CountMode::Auto)
 }
 
 /// [`count_plan_mode_budgeted`] plus a [`CountingReport`] describing which

@@ -29,8 +29,7 @@ pub use cfg::Cfg;
 pub use count::{
     count_launch, count_launch_bruteforce, count_launch_mode, count_launch_poly_prepared,
     count_launch_prepared, count_plan, count_plan_mode_budgeted, count_plan_report_budgeted,
-    count_prepared, default_count_mode, set_default_count_mode, CountMode, CountingReport,
-    LaunchCount, PlanCount, WARP,
+    CountMode, CountingReport, LaunchCount, PlanCount, WARP,
 };
 pub use depgraph::DepGraph;
 pub use exec::{

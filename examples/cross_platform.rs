@@ -11,6 +11,8 @@
 //! ```
 
 use cnnperf::prelude::*;
+use gpu_sim::{profile_robust_budgeted, FaultInjector, FaultProfile, RetryPolicy};
+use ptx_analysis::ExecBudget;
 
 fn main() {
     let names = [
@@ -48,9 +50,13 @@ fn main() {
         &["CNN", "measured IPC", "predicted IPC", "APE"],
     )
     .align(0, Align::Left);
+    // ground truth: one fault-free run of the robust profiling protocol
+    let clean = FaultInjector::new(FaultProfile::none());
+    let (policy, budget) = (RetryPolicy::default(), ExecBudget::default());
     for model in &models {
         let (profile, plan, _, _) = profile_model(model).expect("analysis");
-        let truth = gpu_sim::profile(&plan, &unseen).expect("ground truth");
+        let truth = profile_robust_budgeted(&plan, &unseen, 1, &policy, &clean, &budget)
+            .expect("ground truth");
         let pred = predictor.predict(&profile, &unseen);
         let ape = 100.0 * ((truth.ipc - pred) / truth.ipc).abs();
         table.row(vec![

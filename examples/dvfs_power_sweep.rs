@@ -11,6 +11,7 @@
 
 use cnnperf::prelude::*;
 use gpu_sim::{estimate_power, SimMode, Simulator};
+use ptx_analysis::ExecBudget;
 
 fn main() {
     let model = cnn_ir::zoo::build("MobileNetV2").expect("zoo model");
@@ -36,7 +37,7 @@ fn main() {
     for scale in [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2] {
         let dev = base.with_clock_scale(scale);
         let sim = Simulator::new(dev.clone(), SimMode::Detailed)
-            .simulate_plan(&plan)
+            .simulate_plan(&plan, &counts, &ExecBudget::default())
             .expect("simulation");
         let power = estimate_power(&sim, &counts, &dev);
         table.row(vec![

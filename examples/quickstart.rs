@@ -6,6 +6,8 @@
 //! ```
 
 use cnnperf::prelude::*;
+use gpu_sim::{profile_robust_budgeted, FaultInjector, FaultProfile, RetryPolicy};
+use ptx_analysis::ExecBudget;
 
 fn main() {
     // 1. Build a small training corpus: a few zoo CNNs "profiled" on the
@@ -55,7 +57,17 @@ fn main() {
     //    device (this is the step the predictor lets you skip).
     let dev = gpu_sim::specs::gtx_1080_ti();
     let plan = ptx_codegen::lower(&new_cnn, &dev.sm_target()).expect("lowering");
-    let truth = gpu_sim::profile(&plan, &dev).expect("profiling");
+    // one fault-free run of the robust profiling protocol
+    let clean = FaultInjector::new(FaultProfile::none());
+    let truth = profile_robust_budgeted(
+        &plan,
+        &dev,
+        1,
+        &RetryPolicy::default(),
+        &clean,
+        &ExecBudget::default(),
+    )
+    .expect("profiling");
     let pred = predictor.predict(&profile, &dev);
     println!(
         "\n{} on {}: predicted {:.3} vs measured {:.3} ({:.1}% error)",

@@ -105,17 +105,6 @@ fn usage() -> ExitCode {
                                          schema, shape, and counter invariants\n\
            ptx <model>                   print the generated PTX module\n\
            dot <model>                   print the model graph as Graphviz\n\
-         global flags (any command):\n\
-           --count-mode auto|poly|interp|bruteforce\n\
-                                         how the dynamic code analysis counts\n\
-                                         executed instructions: `auto` (default)\n\
-                                         compiles kernels to closed-form trip-count\n\
-                                         polynomials and falls back to the dense\n\
-                                         interpreter per kernel/launch; `poly` makes\n\
-                                         a fallback a hard error (diagnostics);\n\
-                                         `interp` forces the interpreter;\n\
-                                         `bruteforce` executes every thread\n\
-                                         (validation only — exponentially slower)\n\
          exit codes: 0 ok, 1 failure, 2 usage/config error, 3 overloaded,\n\
                      4 deadline exceeded, 5 corrupt cache/journal,\n\
                      6 server bind/socket error, 7 model store init failure,\n\
@@ -135,8 +124,7 @@ fn usage_error(msg: impl Display) -> ExitCode {
 }
 
 /// Every command: its name, its flags (`--flag=` takes a value, `--flag`
-/// is a bare switch), the least and most positionals, and its body. Every
-/// command also takes the global `--count-mode=`.
+/// is a bare switch), the least and most positionals, and its body.
 type Command = (&'static str, &'static str, usize, usize, fn(&Args) -> Exit);
 const COMMANDS: &[Command] = &[
     ("list", "", 0, 0, cmd_list),
@@ -199,7 +187,8 @@ impl<'a> Args<'a> {
         let mut args = Args::default();
         let mut it = tokens.iter().copied();
         while let Some(t) = it.next() {
-            let takes_value = (flags.split_whitespace().chain(["--count-mode="]))
+            let takes_value = flags
+                .split_whitespace()
                 .find_map(|f| (f.trim_end_matches('=') == t).then(|| f.ends_with('=')));
             match takes_value {
                 Some(true) => {
@@ -326,9 +315,8 @@ fn model_or_exit(name: &str) -> cnn_ir::ModelGraph {
     })
 }
 
-/// Run the full model analysis, exiting cleanly on failure — reachable
-/// from the CLI via `--count-mode poly` when the strict tier refuses a
-/// kernel it cannot compile.
+/// Run the full model analysis, counting in `auto` mode; a failed
+/// analysis exits with status 1.
 fn analysis_or_exit(
     model: &cnn_ir::ModelGraph,
 ) -> (
@@ -562,10 +550,10 @@ fn cmd_profile(a: &Args) -> Exit {
     let model = model_or_exit(a.pos[0]);
     let dev = device_or_exit(a.pos[1]);
     let plan = ptx_codegen::lower(&model, &dev.sm_target()).expect("lowering");
-    let sim = Simulator::new(dev.clone(), SimMode::Detailed)
-        .simulate_plan(&plan)
-        .expect("simulation");
     let counts = ptx_analysis::count_plan(&plan, true).expect("counts");
+    let sim = Simulator::new(dev.clone(), SimMode::Detailed)
+        .simulate_plan(&plan, &counts, &ptx_analysis::ExecBudget::default())
+        .expect("simulation");
     let power = estimate_power(&sim, &counts, &dev);
     println!("{} on {} (detailed simulation):", sim.model_name, dev.name);
     println!("  cycles:       {:.3e}", sim.cycles);
@@ -1206,28 +1194,17 @@ fn cmd_dot(a: &Args) -> Exit {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut args: Vec<&str> = argv.iter().map(String::as_str).collect();
-    // the command is the first word that is not `--count-mode` or its value
-    let is_command =
-        |i: usize| !args[i].starts_with("--") && (i == 0 || args[i - 1] != "--count-mode");
-    let Some(at) = (0..args.len()).find(|&i| is_command(i)) else {
+    let args: Vec<&str> = argv.iter().map(String::as_str).collect();
+    let Some((name, args)) = args.split_first() else {
         return usage();
     };
-    let name = args.remove(at);
-    let Some(command) = COMMANDS.iter().find(|c| c.0 == name) else {
+    let Some(command) = COMMANDS.iter().find(|c| c.0 == *name) else {
         return usage();
     };
     let run = || -> Exit {
-        let parsed = Args::parse(command, &args)?;
+        let parsed = Args::parse(command, args)?;
         if parsed.pos.len() < command.2 {
             return Err(usage());
-        }
-        // installed process-wide before dispatch, so every counting entry
-        // point — engine tiers, corpus builds, one-shot analyses —
-        // inherits it without plumbing
-        let mode = parsed.get("--count-mode", str::parse::<ptx_analysis::CountMode>)?;
-        if let Some(mode) = mode {
-            ptx_analysis::set_default_count_mode(mode);
         }
         (command.4)(&parsed)
     };

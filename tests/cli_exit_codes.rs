@@ -49,6 +49,7 @@ fn malformed_flags_are_usage_errors_on_every_command() {
         &["rank", "alexnet", "--stats", "yaml"],
         &["predict", "alexnet", "--regressor"],
         &["analyze", "alexnet", "--bogus"],
+        &["analyze", "alexnet", "--count-mode", "interp"],
         &["serve", "--workers", "0"],
         &["serve", "--max-frame-bytes", "10"],
     ] {

@@ -83,8 +83,9 @@ fn report_bits(r: &SimReport) -> [u64; 8] {
 
 fn simulate(plan: &LaunchPlan, mode: SimMode) -> [u64; 8] {
     let sim = Simulator::new(gpu_sim::specs::v100s(), mode);
+    let counts = count_plan(plan, true).unwrap_or_else(|e| panic!("{}: {e}", plan.model_name));
     let report = sim
-        .simulate_plan(plan)
+        .simulate_plan(plan, &counts, &ExecBudget::default())
         .unwrap_or_else(|e| panic!("{}: {e}", plan.model_name));
     report_bits(&report)
 }

@@ -254,3 +254,35 @@ fn serve_warm_up_counter_is_the_same_on_every_run() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn simulating_more_devices_counts_no_more_launches() {
+    // the analysis counts a model once; the simulators take those counts,
+    // so a second device on the same analysis adds no counted launch. Each
+    // run is a fresh process, so the counter is absolute.
+    let corpus = std::env::temp_dir().join(format!(
+        "cnnperf-obs-counts-{}-unbuilt.json",
+        std::process::id()
+    ));
+    let launches = |devices: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cnnperf"))
+            .env("CNNPERF_CORPUS", &corpus)
+            .args(["estimate", "alexnet", devices, "--tiers", "analytical"])
+            .args(["--deadline-ms", "60000", "--stats", "json"])
+            .output()
+            .expect("spawn cnnperf");
+        assert!(out.status.success(), "{devices}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let snapshot = stdout.lines().last().expect("stats line");
+        let v = serde_json::parse(snapshot).expect("snapshot JSON");
+        match v.get("counters").and_then(|c| c.get("ptx.count.launches")) {
+            Some(serde_json::Value::Int(n)) => *n,
+            other => panic!("{devices}: ptx.count.launches missing ({other:?})"),
+        }
+    };
+    let one = launches("GTX 1080 Ti");
+    let two = launches("GTX 1080 Ti,Titan Xp");
+    assert!(one > 0);
+    assert_eq!(one, two, "the second device recounted the model");
+    assert!(!corpus.exists(), "estimate must not build the corpus");
+}

@@ -13,7 +13,7 @@ use cnnperf_core::Tier;
 use gpu_sim::ChaosProfile;
 use std::io::Write;
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn request(id: &str, model: &str, device: &str, qos: QosClass) -> EstimateRequest {
@@ -242,7 +242,7 @@ fn client_disconnect_mid_request_does_not_wedge_workers() {
     }
     drop(client); // disconnect before the result can be delivered
 
-    let end = session.join().expect("session thread must not panic");
+    let (end, writer) = session.join().expect("session thread must not panic");
     assert_eq!(end, SessionEnd::Eof);
 
     // the worker must still be alive and serving new clients
@@ -265,6 +265,7 @@ fn client_disconnect_mid_request_does_not_wedge_workers() {
         std::thread::sleep(Duration::from_millis(10));
     }
     scheduler.drain(Duration::from_secs(5));
+    writer.join().expect("writer must not panic");
 }
 
 #[test]
@@ -319,9 +320,10 @@ fn malformed_oversized_and_slow_loris_input_is_typed_never_fatal() {
         stalled.contains("\"error\":\"stalled\""),
         "slow loris must be reported, got: {stalled}"
     );
-    let end = session.join().expect("session must not panic");
+    let (end, writer) = session.join().expect("session must not panic");
     assert_eq!(end, SessionEnd::Stalled, "loris connection is closed");
     scheduler.drain(Duration::from_secs(5));
+    writer.join().expect("writer must not panic");
 }
 
 #[test]
@@ -435,4 +437,43 @@ fn mixed_storm_every_admitted_request_resolves_exactly_once() {
     );
     let report = scheduler.drain(Duration::from_secs(10));
     assert!(!report.forced);
+}
+
+/// A client stream that takes about 100 ms per write, into a buffer the
+/// test reads afterwards.
+struct SlowWriter(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SlowWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(100));
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn drained_session_has_written_its_response_once_the_writer_is_joined() {
+    // regression: stdin `serve` returned after the drain without waiting
+    // for the session's writer thread, so the process could exit before
+    // the last response reached stdout. The drain only guarantees the
+    // response is handed to the writer; joining it guarantees the write.
+    let mut cfg = fast_config();
+    cfg.engine.tiers = vec![Tier::StaleCache];
+    let scheduler = Scheduler::start(&cfg, None, None);
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let frame = b"{\"id\":\"last\",\"model\":\"alexnet\",\"device\":\"GTX 1080 Ti\"}\n";
+    let client = SlowWriter(Arc::clone(&out));
+    let (end, writer) = run_session(&frame[..], client, &scheduler, &cfg);
+    assert_eq!(end, SessionEnd::Eof);
+    scheduler.drain(Duration::from_secs(5));
+    writer.join().expect("writer must not panic");
+    let written = String::from_utf8(out.lock().unwrap().clone()).expect("utf8");
+    assert!(
+        written.contains("\"id\":\"last\""),
+        "response lost: {written:?}"
+    );
 }
