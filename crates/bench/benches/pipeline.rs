@@ -2,7 +2,9 @@
 //! per-model feature extraction (`t_dca`) that Table IV's estimation path
 //! pays once per CNN.
 
+use cnnperf_core::{AnalyzedModel, DEFAULT_SM_TARGET};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ptx_analysis::ExecBudget;
 use std::hint::black_box;
 
 fn bench_static_analysis(c: &mut Criterion) {
@@ -33,7 +35,8 @@ fn bench_full_profile(c: &mut Criterion) {
     for name in ["alexnet", "mobilenet"] {
         let model = cnn_ir::zoo::build(name).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, m| {
-            b.iter(|| black_box(cnnperf_core::profile_model(m).unwrap()))
+            let budget = ExecBudget::default();
+            b.iter(|| black_box(AnalyzedModel::compute(m, DEFAULT_SM_TARGET, &budget).unwrap()))
         });
     }
     group.finish();

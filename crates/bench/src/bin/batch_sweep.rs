@@ -11,6 +11,7 @@
 use cnnperf_core::prelude::*;
 use gpu_sim::{SimMode, Simulator};
 use ptx_analysis::ExecBudget;
+use ptx_codegen::GemmVariant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dev = gpu_sim::specs::gtx_1080_ti();
@@ -31,7 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let model = cnn_ir::zoo::build(name).ok_or_else(|| format!("unknown zoo model {name}"))?;
         let mut prev_ipc = 0.0;
         for batch in [1u32, 2, 4, 8, 16] {
-            let plan = ptx_codegen::lower_batched(&model, &dev.sm_target(), batch)?;
+            let plan =
+                ptx_codegen::lower_with(&model, &dev.sm_target(), batch, GemmVariant::default())?;
             let counts = ptx_analysis::count_plan(&plan, true)?;
             let sim = Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan(
                 &plan,

@@ -7,13 +7,15 @@
 //! undercut that — every estimation request, every corpus cell and every
 //! DSE candidate re-lowered and re-executed the DCA from scratch.
 //!
-//! [`analyze_cached`] keys on `(model content hash, sm target)` — the same
-//! FNV-1a envelope hashing as the on-disk corpus cache ([`crate::cache`])
-//! — and stores the complete [`profile_model`](crate::features::profile_model)
-//! output behind an `Arc`, so the ResilientEngine's detailed/analytical
-//! tiers, `build_corpus_robust` and DSE sweeps all share one analysis per
-//! model. The cache is bounded (LRU over a logical access stamp) and only
-//! successful analyses are stored; failures propagate uncached.
+//! [`AnalyzedModel::compute`] is the one uncached analysis.
+//! [`analyze_cached`] memoizes it on `(model content hash, sm target)` —
+//! the same FNV-1a envelope hashing as the on-disk corpus cache
+//! ([`crate::cache`]) — behind an `Arc`. Lowering reads the target only to
+//! stamp the module header, so every program path asks at
+//! [`DEFAULT_SM_TARGET`]: the ResilientEngine's tiers, `build_corpus_robust`,
+//! DSE sweeps and the CLI share one analysis per model. The cache is
+//! bounded (LRU over a logical access stamp) and only successful analyses
+//! are stored; failures propagate uncached.
 //!
 //! Traffic is observable via the `analysis.cache.{lookups,hits,misses,
 //! evictions}` counters; their invariants live in
@@ -22,10 +24,10 @@
 //! models.
 
 use crate::cache::fnv1a;
-use crate::features::{profile_model_report, CnnProfile, ProfileError};
+use crate::features::{CnnProfile, ProfileError, DEFAULT_SM_TARGET};
 use cnn_ir::{ModelGraph, ModelSummary};
 use ptx::kernel::LaunchPlan;
-use ptx_analysis::{CountingReport, ExecBudget, PlanCount};
+use ptx_analysis::{CountMode, CountingReport, ExecBudget, PlanCount};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -39,14 +41,11 @@ static CACHE_MISSES: obs::LazyCounter = obs::LazyCounter::new("analysis.cache.mi
 static CACHE_EVICTIONS: obs::LazyCounter = obs::LazyCounter::new("analysis.cache.evictions");
 
 /// Maximum cached analyses. Each entry holds a lowered plan plus counts
-/// (tens of kilobytes). Keys are (model, sm target): 64 covers the 45
-/// zoo, variant and transformer models at one target, but not a sweep of
-/// them over all five targets of the device list (`sm_61`, `sm_70`,
-/// `sm_75`, `sm_80`, `sm_90`), which evicts.
+/// (tens of kilobytes). Every program path asks at [`DEFAULT_SM_TARGET`],
+/// so 64 entries cover all 45 zoo, variant and transformer models.
 pub const ANALYSIS_CACHE_CAPACITY: usize = 64;
 
-/// The complete output of one model analysis: everything
-/// [`crate::features::profile_model`] returns, cached as a unit.
+/// The complete output of one model analysis, cached as a unit.
 #[derive(Debug, Clone)]
 pub struct AnalyzedModel {
     pub profile: CnnProfile,
@@ -57,6 +56,45 @@ pub struct AnalyzedModel {
     /// often the poly tier deferred — provenance for diagnostics; the
     /// counts themselves are mode-invariant.
     pub counting: CountingReport,
+}
+
+impl AnalyzedModel {
+    /// Run the full static + dynamic analysis for one model, uncached:
+    /// Table I values from the static analyzer, the executed-instruction
+    /// count from the slicing executor, and the plan lowered for `target`
+    /// (which only stamps the module header). The budget's cancellation
+    /// token and step fuel bound the dynamic code analysis, so a
+    /// deadline-driven caller can abandon a DCA that will not finish in
+    /// time. [`analyze_cached`] memoizes this.
+    pub fn compute(
+        model: &ModelGraph,
+        target: &str,
+        budget: &ExecBudget,
+    ) -> Result<Self, ProfileError> {
+        let summary = cnn_ir::analyze(model)?;
+        let t0 = std::time::Instant::now();
+        let plan = ptx_codegen::lower(model, target)?;
+        let (counts, counting) =
+            ptx_analysis::count_plan_report_budgeted(&plan, true, budget, CountMode::Auto)?;
+        let dca_seconds = t0.elapsed().as_secs_f64();
+        let profile = CnnProfile {
+            name: model.name().to_string(),
+            ptx_instructions: counts.thread_instructions,
+            trainable_params: summary.trainable_params,
+            macs: summary.macs,
+            flops: summary.flops,
+            neurons: summary.neurons,
+            num_launches: plan.launches.len(),
+            dca_seconds,
+        };
+        Ok(AnalyzedModel {
+            profile,
+            plan,
+            counts,
+            summary,
+            counting,
+        })
+    }
 }
 
 struct Entry {
@@ -112,15 +150,7 @@ pub fn analyze_cached(
         }
     }
     CACHE_MISSES.inc();
-
-    let (profile, plan, counts, summary, counting) = profile_model_report(model, target, budget)?;
-    let value = Arc::new(AnalyzedModel {
-        profile,
-        plan,
-        counts,
-        summary,
-        counting,
-    });
+    let value = Arc::new(AnalyzedModel::compute(model, target, budget)?);
 
     let mut inner = lock();
     inner.tick += 1;
@@ -146,36 +176,16 @@ pub fn analyze_cached(
     Ok(value)
 }
 
-/// [`analyze_cached`] at the device-independent default target — the
-/// memoized equivalent of [`crate::features::profile_model`].
+/// The model's one analysis: [`analyze_cached`] at [`DEFAULT_SM_TARGET`]
+/// under the default budget.
 pub fn profile_model_cached(model: &ModelGraph) -> Result<Arc<AnalyzedModel>, ProfileError> {
-    analyze_cached(
-        model,
-        crate::features::DEFAULT_SM_TARGET,
-        &ExecBudget::default(),
-    )
-}
-
-/// [`profile_model_cached`] under an explicit execution budget.
-pub fn profile_model_cached_budgeted(
-    model: &ModelGraph,
-    budget: &ExecBudget,
-) -> Result<Arc<AnalyzedModel>, ProfileError> {
-    analyze_cached(model, crate::features::DEFAULT_SM_TARGET, budget)
+    analyze_cached(model, DEFAULT_SM_TARGET, &ExecBudget::default())
 }
 
 /// Point-in-time cache occupancy: `(entries, capacity)`. Traffic counters
 /// live in the obs registry (`analysis.cache.*`).
 pub fn cache_stats() -> (usize, usize) {
     (lock().map.len(), ANALYSIS_CACHE_CAPACITY)
-}
-
-/// Non-counting lookup for tests and diagnostics: returns the cached
-/// analysis if present without touching the traffic counters or the LRU
-/// stamp (so `hits + misses == lookups` stays exact).
-pub fn peek_cached(model: &ModelGraph, target: &str) -> Option<Arc<AnalyzedModel>> {
-    let key = (model_content_hash(model), target.to_string());
-    lock().map.get(&key).map(|e| Arc::clone(&e.value))
 }
 
 /// Drop every cached analysis (test isolation; traffic counters are not
@@ -204,16 +214,23 @@ mod tests {
     fn cached_analysis_matches_uncached() {
         let model = cnn_ir::zoo::build("mobilenet").unwrap();
         let cached = profile_model_cached(&model).unwrap();
-        let (profile, plan, counts, summary) = crate::features::profile_model(&model).unwrap();
-        assert_eq!(cached.profile.ptx_instructions, profile.ptx_instructions);
-        assert_eq!(cached.profile.trainable_params, profile.trainable_params);
+        let uncached =
+            AnalyzedModel::compute(&model, DEFAULT_SM_TARGET, &ExecBudget::default()).unwrap();
+        assert_eq!(
+            cached.profile.ptx_instructions,
+            uncached.profile.ptx_instructions
+        );
+        assert_eq!(
+            cached.profile.trainable_params,
+            uncached.profile.trainable_params
+        );
         assert_eq!(
             cached.counts.thread_instructions,
-            counts.thread_instructions
+            uncached.counts.thread_instructions
         );
-        assert_eq!(cached.counts.warp_issues, counts.warp_issues);
-        assert_eq!(cached.plan.launches.len(), plan.launches.len());
-        assert_eq!(cached.summary.neurons, summary.neurons);
+        assert_eq!(cached.counts.warp_issues, uncached.counts.warp_issues);
+        assert_eq!(cached.plan.launches.len(), uncached.plan.launches.len());
+        assert_eq!(cached.summary.neurons, uncached.summary.neurons);
     }
 
     #[test]

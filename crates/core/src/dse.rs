@@ -3,7 +3,7 @@
 //! time of the estimation path against naive per-device profiling
 //! (Table IV's `T_est = t_dca + n * t_pm` vs `T_measur = t_p * n`).
 
-use crate::features::{CnnProfile, ProfileError};
+use crate::features::ProfileError;
 use crate::model::PerformancePredictor;
 use cnn_ir::ModelGraph;
 use gpu_sim::{DeviceSpec, SimMode, Simulator};
@@ -40,15 +40,7 @@ pub fn rank_devices(
     devices: &[DeviceSpec],
 ) -> Result<DseOutcome, ProfileError> {
     let analyzed = crate::analysis_cache::profile_model_cached(model)?;
-    rank_devices_profiled(predictor, &analyzed.profile, devices)
-}
-
-/// Same, reusing an existing profile (no re-analysis).
-pub fn rank_devices_profiled(
-    predictor: &PerformancePredictor,
-    profile: &CnnProfile,
-    devices: &[DeviceSpec],
-) -> Result<DseOutcome, ProfileError> {
+    let profile = &analyzed.profile;
     let t0 = std::time::Instant::now();
     let mut ranking: Vec<DeviceRanking> = devices
         .iter()

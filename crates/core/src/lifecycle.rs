@@ -8,11 +8,11 @@
 //! model, and without a restart. This module supplies the robustness
 //! layer that makes that safe:
 //!
-//! - [`PredictorSlot`] — a lock-free generation-stamped slot. Readers
-//!   (`estimate` hot path) do one atomic load; writers serialize behind a
-//!   mutex and publish a new generation with an atomic store. Superseded
-//!   generations stay reachable on a chain (freed when the slot drops),
-//!   so a reader that loaded mid-swap still holds a valid predictor, and
+//! - [`PredictorSlot`] — a generation-stamped slot. Readers (`estimate`
+//!   hot path) clone the active predictor's `Arc` under the slot's mutex;
+//!   writers publish a new generation by appending it to the slot's
+//!   history. A reader that loaded mid-swap still holds a valid
+//!   predictor, and superseded generations stay in the history, so
 //!   rollback can walk back to the last good one.
 //!   [`PredictorSlot::promote_if`] gives exactly-once promotion: of two
 //!   concurrent swaps racing from the same observed generation, one wins
@@ -40,8 +40,7 @@ use crate::resilience::{BreakerConfig, CircuitBreaker};
 use mlkit::metrics::mape;
 use mlkit::{Dataset, RegressorKind};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Generations published into a slot (cold loads, promotions, rollbacks).
@@ -81,33 +80,20 @@ static COLD_TRAINED: obs::LazyCounter = obs::LazyCounter::new("lifecycle.coldsta
 // PredictorSlot
 // ---------------------------------------------------------------------------
 
-struct SlotNode {
-    generation: u64,
-    predictor: Option<Arc<PerformancePredictor>>,
-    /// The generation this one superseded; the chain keeps superseded
-    /// nodes alive for in-flight readers and for rollback.
-    prev: *mut SlotNode,
-}
-
-/// A lock-free, generation-stamped predictor slot.
+/// A generation-stamped predictor slot.
 ///
-/// Readers call [`load`](Self::load) — one `Acquire` pointer load, no
-/// lock — and get the generation number alongside the predictor, so
-/// every served response is attributable to exactly one generation.
-/// Writers serialize behind an internal mutex; publication is a single
-/// `Release` store, so a reader observes either the old or the new
-/// generation, never a torn state.
+/// Readers call [`load`](Self::load) and get the generation number
+/// alongside the predictor, so every served response is attributable to
+/// exactly one generation. The slot keeps every `(generation, predictor)`
+/// it has published, oldest first; the last entry is active. One mutex
+/// guards that history: a reader holds it to clone one `Arc`, and a writer
+/// publishes by pushing one entry, so a reader observes either the old or
+/// the new generation, never a torn state.
 pub struct PredictorSlot {
-    active: AtomicPtr<SlotNode>,
-    /// Serializes writers. Readers never touch it.
-    swap: Mutex<()>,
+    history: Mutex<History>,
 }
 
-// SAFETY: nodes are immutable after publication; the raw pointers are
-// only written under the swap mutex and only freed in Drop (which has
-// exclusive access by &mut).
-unsafe impl Send for PredictorSlot {}
-unsafe impl Sync for PredictorSlot {}
+type History = Vec<(u64, Option<Arc<PerformancePredictor>>)>;
 
 /// A concurrent swap won the race; the caller's observed generation is
 /// stale. Carries the generation that is now active.
@@ -120,44 +106,35 @@ impl PredictorSlot {
     /// An empty slot at generation 0 (the regressor tier fails fast until
     /// a predictor is installed).
     pub fn new() -> Self {
-        let root = Box::into_raw(Box::new(SlotNode {
-            generation: 0,
-            predictor: None,
-            prev: std::ptr::null_mut(),
-        }));
         PredictorSlot {
-            active: AtomicPtr::new(root),
-            swap: Mutex::new(()),
+            history: Mutex::new(vec![(0, None)]),
         }
     }
 
-    fn node(&self) -> &SlotNode {
-        // SAFETY: `active` always points at a published node; nodes live
-        // until the slot itself drops.
-        unsafe { &*self.active.load(Ordering::Acquire) }
+    fn history(&self) -> MutexGuard<'_, History> {
+        // entries are pushed whole, so a poisoned lock is safe to keep using
+        self.history.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The active `(generation, predictor)` — one atomic load.
+    fn active(history: &History) -> &(u64, Option<Arc<PerformancePredictor>>) {
+        history
+            .last()
+            .expect("the history starts at generation 0 and only grows")
+    }
+
+    /// The active `(generation, predictor)`.
     pub fn load(&self) -> (u64, Option<Arc<PerformancePredictor>>) {
-        let n = self.node();
-        (n.generation, n.predictor.clone())
+        Self::active(&self.history()).clone()
     }
 
     /// The active generation number.
     pub fn generation(&self) -> u64 {
-        self.node().generation
+        Self::active(&self.history()).0
     }
 
-    fn publish(&self, predictor: Option<Arc<PerformancePredictor>>) -> u64 {
-        // caller holds the swap mutex
-        let cur = self.active.load(Ordering::Relaxed);
-        let generation = unsafe { &*cur }.generation + 1;
-        let next = Box::into_raw(Box::new(SlotNode {
-            generation,
-            predictor,
-            prev: cur,
-        }));
-        self.active.store(next, Ordering::Release);
+    fn publish(history: &mut History, predictor: Arc<PerformancePredictor>) -> u64 {
+        let generation = Self::active(history).0 + 1;
+        history.push((generation, Some(predictor)));
         SLOT_SWAPS.inc();
         generation
     }
@@ -165,8 +142,7 @@ impl PredictorSlot {
     /// Unconditionally publish a new generation (cold loads, rollbacks,
     /// operator pins). Returns the new generation.
     pub fn install(&self, predictor: Arc<PerformancePredictor>) -> u64 {
-        let _g = self.swap.lock().unwrap_or_else(|p| p.into_inner());
-        self.publish(Some(predictor))
+        Self::publish(&mut self.history(), predictor)
     }
 
     /// Exactly-once promotion: publish `predictor` only if the active
@@ -178,15 +154,15 @@ impl PredictorSlot {
         expected: u64,
         predictor: Arc<PerformancePredictor>,
     ) -> Result<u64, SwapRace> {
-        let _g = self.swap.lock().unwrap_or_else(|p| p.into_inner());
-        let active = unsafe { &*self.active.load(Ordering::Relaxed) }.generation;
+        let mut history = self.history();
+        let active = Self::active(&history).0;
         if active != expected {
             PROMOTE_RACES.inc();
             return Err(SwapRace {
                 active_generation: active,
             });
         }
-        Ok(self.publish(Some(predictor)))
+        Ok(Self::publish(&mut history, predictor))
     }
 
     /// Roll back to the most recent superseded generation that held a
@@ -195,40 +171,19 @@ impl PredictorSlot {
     /// `(new_generation, resurrected_generation)`, or `None` when no
     /// earlier distinct predictor exists.
     pub fn rollback(&self) -> Option<(u64, u64)> {
-        let _g = self.swap.lock().unwrap_or_else(|p| p.into_inner());
-        let cur = unsafe { &*self.active.load(Ordering::Relaxed) };
-        let cur_ptr = cur.predictor.as_ref().map(Arc::as_ptr);
-        let mut walk = cur.prev;
-        while !walk.is_null() {
-            let n = unsafe { &*walk };
-            if let Some(p) = &n.predictor {
-                if Some(Arc::as_ptr(p)) != cur_ptr {
-                    let resurrected = n.generation;
-                    let p = p.clone();
-                    let new_gen = self.publish(Some(p));
-                    return Some((new_gen, resurrected));
-                }
-            }
-            walk = n.prev;
-        }
-        None
+        let mut history = self.history();
+        let active = Self::active(&history).1.as_ref().map(Arc::as_ptr);
+        let (resurrected, predictor) = history.iter().rev().find_map(|(g, p)| {
+            let p = p.as_ref().filter(|p| Some(Arc::as_ptr(p)) != active)?;
+            Some((*g, Arc::clone(p)))
+        })?;
+        Some((Self::publish(&mut history, predictor), resurrected))
     }
 }
 
 impl Default for PredictorSlot {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Drop for PredictorSlot {
-    fn drop(&mut self) {
-        // exclusive access: free the whole chain
-        let mut walk = *self.active.get_mut();
-        while !walk.is_null() {
-            let boxed = unsafe { Box::from_raw(walk) };
-            walk = boxed.prev;
-        }
     }
 }
 
@@ -757,7 +712,7 @@ impl LifecycleManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn toy_predictor(scale: f64) -> PerformancePredictor {
         let mut d = Dataset::new(feature_names());

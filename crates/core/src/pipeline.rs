@@ -630,15 +630,6 @@ pub fn build_paper_corpus() -> Result<Corpus, ProfileError> {
     build_corpus(&models, &devices)
 }
 
-/// [`build_paper_corpus`] under the robust protocol.
-pub fn build_paper_corpus_robust(
-    cfg: &RobustConfig,
-) -> Result<(Corpus, CorpusReport), ProfileError> {
-    let models = cnn_ir::zoo::build_all();
-    let devices = gpu_sim::training_devices();
-    build_corpus_robust(&models, &devices, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

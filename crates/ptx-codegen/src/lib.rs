@@ -16,5 +16,5 @@
 pub mod lower;
 pub mod templates;
 
-pub use lower::{lower, lower_batched, lower_with, GemmVariant};
+pub use lower::{lower, lower_with, GemmVariant};
 pub use templates::{Template, BLOCK, TILE};

@@ -187,22 +187,14 @@ fn emit_affine(lo: &mut Lowerer, tag: &str, x: u64, out: u64, n: u64, c: u64) {
 /// profiles). The `target` names the PTX target architecture written into
 /// the module header (e.g. `sm_61`).
 pub fn lower(model: &ModelGraph, target: &str) -> Result<LaunchPlan, GraphError> {
-    lower_batched(model, target, 1)
+    lower_with(model, target, 1, GemmVariant::default())
 }
 
-/// Lower a model at an explicit batch size (throughput experiments; an
-/// extension beyond the paper's batch-1 protocol). Per-sample kernels are
-/// batched along the GEMM row dimension / elementwise extent; the softmax
-/// reductions are emitted once per sample, as a framework would.
-pub fn lower_batched(
-    model: &ModelGraph,
-    target: &str,
-    batch: u32,
-) -> Result<LaunchPlan, GraphError> {
-    lower_with(model, target, batch, GemmVariant::default())
-}
-
-/// Fully parameterized lowering: batch size and GEMM kernel variant.
+/// Fully parameterized lowering: batch size and GEMM kernel variant. A
+/// batch above 1 (throughput experiments; an extension beyond the paper's
+/// batch-1 protocol) batches per-sample kernels along the GEMM row
+/// dimension / elementwise extent; the softmax reductions are emitted once
+/// per sample, as a framework would.
 pub fn lower_with(
     model: &ModelGraph,
     target: &str,
@@ -892,8 +884,8 @@ mod batch_tests {
     #[test]
     fn batch_scales_threads_roughly_linearly() {
         let model = zoo::build("mobilenet").unwrap();
-        let b1 = lower_batched(&model, "sm_61", 1).unwrap();
-        let b8 = lower_batched(&model, "sm_61", 8).unwrap();
+        let b1 = lower_with(&model, "sm_61", 1, GemmVariant::default()).unwrap();
+        let b8 = lower_with(&model, "sm_61", 8, GemmVariant::default()).unwrap();
         let t1 = b1.total_threads();
         let t8 = b8.total_threads();
         assert!(
@@ -906,7 +898,7 @@ mod batch_tests {
     fn batch_one_equals_default_lowering() {
         let model = zoo::build("alexnet").unwrap();
         let a = lower(&model, "sm_61").unwrap();
-        let b = lower_batched(&model, "sm_61", 1).unwrap();
+        let b = lower_with(&model, "sm_61", 1, GemmVariant::default()).unwrap();
         assert_eq!(a.launches.len(), b.launches.len());
         assert_eq!(a.total_threads(), b.total_threads());
     }
@@ -914,7 +906,7 @@ mod batch_tests {
     #[test]
     fn batched_dense_uses_gemm() {
         let model = zoo::build("vgg16").unwrap();
-        let plan = lower_batched(&model, "sm_61", 4).unwrap();
+        let plan = lower_with(&model, "sm_61", 4, GemmVariant::default()).unwrap();
         let dense_launches: Vec<&str> = plan
             .launches
             .iter()
@@ -931,7 +923,7 @@ mod batch_tests {
     #[test]
     fn softmax_emitted_per_sample() {
         let model = zoo::build("alexnet").unwrap();
-        let plan = lower_batched(&model, "sm_61", 3).unwrap();
+        let plan = lower_with(&model, "sm_61", 3, GemmVariant::default()).unwrap();
         let n = plan
             .launches
             .iter()

@@ -54,10 +54,11 @@ fn main() {
     let clean = FaultInjector::new(FaultProfile::none());
     let (policy, budget) = (RetryPolicy::default(), ExecBudget::default());
     for model in &models {
-        let (profile, plan, _, _) = profile_model(model).expect("analysis");
-        let truth = profile_robust_budgeted(&plan, &unseen, 1, &policy, &clean, &budget)
+        let analyzed = profile_model_cached(model).expect("analysis");
+        let profile = &analyzed.profile;
+        let truth = profile_robust_budgeted(&analyzed.plan, &unseen, 1, &policy, &clean, &budget)
             .expect("ground truth");
-        let pred = predictor.predict(&profile, &unseen);
+        let pred = predictor.predict(profile, &unseen);
         let ape = 100.0 * ((truth.ipc - pred) / truth.ipc).abs();
         table.row(vec![
             profile.name.clone(),
@@ -94,8 +95,8 @@ fn main() {
     let predictor6 = PerformancePredictor::train(&wide.dataset, RegressorKind::DecisionTree, 42);
     let mut y_pred6 = Vec::new();
     for model in &models {
-        let (profile, _, _, _) = profile_model(model).expect("analysis");
-        y_pred6.push(predictor6.predict(&profile, &unseen));
+        let profile = &profile_model_cached(model).expect("analysis").profile;
+        y_pred6.push(predictor6.predict(profile, &unseen));
     }
     println!(
         "\nwith 6 training devices instead of 2: cross-platform MAPE {:.2}% (R2 {:.3})",

@@ -91,9 +91,13 @@ fn main() {
     for width in [16u32, 32, 64] {
         for depth in [1u32, 2, 3] {
             let model = build_candidate(width, depth);
-            let summary = cnn_ir::analyze(&model).expect("static analysis");
-            let (profile, _, counts, _) = profile_model(&model).expect("dca");
-            let ipc = predictor.predict(&profile, &dev);
+            let AnalyzedModel {
+                profile,
+                counts,
+                summary,
+                ..
+            } = &*profile_model_cached(&model).expect("analysis");
+            let ipc = predictor.predict(profile, &dev);
             // predicted IPC + counted warp instructions give a latency
             // estimate without ever running the candidate:
             //   cycles = warp_instrs / (ipc * active SMs)

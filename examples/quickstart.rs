@@ -36,11 +36,12 @@ fn main() {
     //    the dynamic code analysis counts the executed PTX instructions by
     //    slicing — no GPU and no cycle-level simulation involved.
     let new_cnn = cnn_ir::zoo::build("resnet101v2").expect("zoo model");
-    let (profile, _plan, _counts, summary) = profile_model(&new_cnn).expect("analysis");
+    let analyzed = profile_model_cached(&new_cnn).expect("analysis");
+    let profile = &analyzed.profile;
     println!(
         "\n{}: {} trainable params, {} executed PTX instructions (t_dca = {:.2}s)",
         profile.name,
-        thousands(summary.trainable_params),
+        thousands(analyzed.summary.trainable_params),
         thousands(profile.ptx_instructions),
         profile.dca_seconds,
     );
@@ -49,18 +50,17 @@ fn main() {
     //    predictor never saw, thanks to the architectural features.
     println!("\npredicted IPC per device:");
     for dev in gpu_sim::all_devices() {
-        let ipc = predictor.predict(&profile, &dev);
+        let ipc = predictor.predict(profile, &dev);
         println!("  {:14} {:.3}", dev.name, ipc);
     }
 
     // 5. Sanity check: compare against the ground-truth profiler on one
     //    device (this is the step the predictor lets you skip).
     let dev = gpu_sim::specs::gtx_1080_ti();
-    let plan = ptx_codegen::lower(&new_cnn, &dev.sm_target()).expect("lowering");
     // one fault-free run of the robust profiling protocol
     let clean = FaultInjector::new(FaultProfile::none());
     let truth = profile_robust_budgeted(
-        &plan,
+        &analyzed.plan,
         &dev,
         1,
         &RetryPolicy::default(),
@@ -68,7 +68,7 @@ fn main() {
         &ExecBudget::default(),
     )
     .expect("profiling");
-    let pred = predictor.predict(&profile, &dev);
+    let pred = predictor.predict(profile, &dev);
     println!(
         "\n{} on {}: predicted {:.3} vs measured {:.3} ({:.1}% error)",
         profile.name,

@@ -315,17 +315,10 @@ fn model_or_exit(name: &str) -> cnn_ir::ModelGraph {
     })
 }
 
-/// Run the full model analysis, counting in `auto` mode; a failed
-/// analysis exits with status 1.
-fn analysis_or_exit(
-    model: &cnn_ir::ModelGraph,
-) -> (
-    cnnperf_core::CnnProfile,
-    ptx::kernel::LaunchPlan,
-    ptx_analysis::PlanCount,
-    cnn_ir::ModelSummary,
-) {
-    profile_model(model).unwrap_or_else(|e| {
+/// The model's one analysis, counted in `auto` mode; a failed analysis
+/// exits with status 1.
+fn analysis_or_exit(model: &cnn_ir::ModelGraph) -> std::sync::Arc<AnalyzedModel> {
+    profile_model_cached(model).unwrap_or_else(|e| {
         eprintln!("analysis failed: {e}");
         std::process::exit(1)
     })
@@ -517,7 +510,13 @@ fn cmd_list(_: &Args) -> Exit {
 
 fn cmd_analyze(a: &Args) -> Exit {
     let model = model_or_exit(a.pos[0]);
-    let (profile, plan, counts, summary) = analysis_or_exit(&model);
+    let AnalyzedModel {
+        profile,
+        plan,
+        counts,
+        summary,
+        ..
+    } = &*analysis_or_exit(&model);
     println!("model: {}", profile.name);
     println!(
         "  input:                {}x{}",
@@ -549,12 +548,11 @@ fn cmd_analyze(a: &Args) -> Exit {
 fn cmd_profile(a: &Args) -> Exit {
     let model = model_or_exit(a.pos[0]);
     let dev = device_or_exit(a.pos[1]);
-    let plan = ptx_codegen::lower(&model, &dev.sm_target()).expect("lowering");
-    let counts = ptx_analysis::count_plan(&plan, true).expect("counts");
+    let AnalyzedModel { plan, counts, .. } = &*analysis_or_exit(&model);
     let sim = Simulator::new(dev.clone(), SimMode::Detailed)
-        .simulate_plan(&plan, &counts, &ptx_analysis::ExecBudget::default())
+        .simulate_plan(plan, counts, &ptx_analysis::ExecBudget::default())
         .expect("simulation");
-    let power = estimate_power(&sim, &counts, &dev);
+    let power = estimate_power(&sim, counts, &dev);
     println!("{} on {} (detailed simulation):", sim.model_name, dev.name);
     println!("  cycles:       {:.3e}", sim.cycles);
     println!("  latency:      {:.2} ms", sim.latency_ms);
@@ -577,7 +575,7 @@ fn cmd_predict(a: &Args) -> Exit {
     let model = model_or_exit(a.pos[0]);
     let corpus = corpus(&Journaling::default())?;
     let predictor = PerformancePredictor::train(&corpus.dataset, kind, 42);
-    let (profile, ..) = analysis_or_exit(&model);
+    let profile = &analysis_or_exit(&model).profile;
     let devices: Vec<_> = if a.has("--all-devices") {
         gpu_sim::all_devices()
     } else {
@@ -587,7 +585,7 @@ fn cmd_predict(a: &Args) -> Exit {
     };
     println!("predicted IPC for {} ({}):", profile.name, kind.name());
     for dev in devices {
-        println!("  {:14} {:.3}", dev.name, predictor.predict(&profile, &dev));
+        println!("  {:14} {:.3}", dev.name, predictor.predict(profile, &dev));
     }
     Ok(ExitCode::SUCCESS)
 }

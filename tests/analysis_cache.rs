@@ -8,8 +8,9 @@
 //! measures counter *deltas* between its own snapshots.
 
 use cnnperf_core::prelude::*;
-use cnnperf_core::{clear_analysis_cache, feature_row, profile_model};
+use cnnperf_core::{clear_analysis_cache, feature_row, DEFAULT_SM_TARGET};
 use mlkit::RegressorKind;
+use ptx_analysis::ExecBudget;
 use std::sync::Mutex;
 
 static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
@@ -23,33 +24,38 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn cached_profile_is_byte_identical_across_devices() {
     let _guard = lock();
     let model = cnn_ir::zoo::build("alexnet").unwrap();
-    let (uncached, plan, counts, summary) = profile_model(&model).unwrap();
+    let uncached =
+        AnalyzedModel::compute(&model, DEFAULT_SM_TARGET, &ExecBudget::default()).unwrap();
     let cached = profile_model_cached(&model).unwrap();
 
     // the analysis payload matches field-for-field (dca_seconds is wall
     // time and legitimately differs between runs)
-    assert_eq!(cached.profile.name, uncached.name);
-    assert_eq!(cached.profile.ptx_instructions, uncached.ptx_instructions);
-    assert_eq!(cached.profile.trainable_params, uncached.trainable_params);
-    assert_eq!(cached.profile.macs, uncached.macs);
-    assert_eq!(cached.profile.flops, uncached.flops);
-    assert_eq!(cached.profile.neurons, uncached.neurons);
-    assert_eq!(cached.profile.num_launches, uncached.num_launches);
+    let (profile, counts) = (&uncached.profile, &uncached.counts);
+    assert_eq!(cached.profile.name, profile.name);
+    assert_eq!(cached.profile.ptx_instructions, profile.ptx_instructions);
+    assert_eq!(cached.profile.trainable_params, profile.trainable_params);
+    assert_eq!(cached.profile.macs, profile.macs);
+    assert_eq!(cached.profile.flops, profile.flops);
+    assert_eq!(cached.profile.neurons, profile.neurons);
+    assert_eq!(cached.profile.num_launches, profile.num_launches);
     assert_eq!(
         cached.counts.thread_instructions,
         counts.thread_instructions
     );
     assert_eq!(cached.counts.warp_issues, counts.warp_issues);
     assert_eq!(cached.counts.by_category, counts.by_category);
-    assert_eq!(cached.plan.launches.len(), plan.launches.len());
-    assert_eq!(cached.summary.trainable_params, summary.trainable_params);
+    assert_eq!(cached.plan.launches.len(), uncached.plan.launches.len());
+    assert_eq!(
+        cached.summary.trainable_params,
+        uncached.summary.trainable_params
+    );
 
     // feature rows derived from the cached profile are byte-identical on
     // every modeled device
     for dev in gpu_sim::all_devices() {
         assert_eq!(
             feature_row(&cached.profile, &dev),
-            feature_row(&uncached, &dev),
+            feature_row(profile, &dev),
             "feature row differs on {}",
             dev.name
         );
@@ -148,8 +154,8 @@ fn estimate_then_dse_shares_one_analysis() {
     clear_analysis_cache();
     let before = obs::global().snapshot();
 
-    // an analytical-tier estimate on a Pascal device (sm_61) warms the
-    // default-target cache line...
+    // an analytical-tier estimate on any device warms the model's one
+    // analysis...
     let mut engine = ResilientEngine::new(EngineConfig {
         deadline_ms: 60_000,
         tiers: vec![Tier::Analytical],

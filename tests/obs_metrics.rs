@@ -258,13 +258,14 @@ fn serve_warm_up_counter_is_the_same_on_every_run() {
 #[test]
 fn simulating_more_devices_counts_no_more_launches() {
     // the analysis counts a model once; the simulators take those counts,
-    // so a second device on the same analysis adds no counted launch. Each
-    // run is a fresh process, so the counter is absolute.
+    // so a second device on the same analysis adds no counted launch, and
+    // devices of other sm targets share that one analysis too. Each run
+    // is a fresh process, so the counters are absolute.
     let corpus = std::env::temp_dir().join(format!(
         "cnnperf-obs-counts-{}-unbuilt.json",
         std::process::id()
     ));
-    let launches = |devices: &str| {
+    let launches_and_misses = |devices: &str| {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cnnperf"))
             .env("CNNPERF_CORPUS", &corpus)
             .args(["estimate", "alexnet", devices, "--tiers", "analytical"])
@@ -275,14 +276,21 @@ fn simulating_more_devices_counts_no_more_launches() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         let snapshot = stdout.lines().last().expect("stats line");
         let v = serde_json::parse(snapshot).expect("snapshot JSON");
-        match v.get("counters").and_then(|c| c.get("ptx.count.launches")) {
+        let counter = |name: &str| match v.get("counters").and_then(|c| c.get(name)) {
             Some(serde_json::Value::Int(n)) => *n,
-            other => panic!("{devices}: ptx.count.launches missing ({other:?})"),
-        }
+            other => panic!("{devices}: {name} missing ({other:?})"),
+        };
+        (
+            counter("ptx.count.launches"),
+            counter("analysis.cache.misses"),
+        )
     };
-    let one = launches("GTX 1080 Ti");
-    let two = launches("GTX 1080 Ti,Titan Xp");
-    assert!(one > 0);
+    let one = launches_and_misses("GTX 1080 Ti");
+    let two = launches_and_misses("GTX 1080 Ti,Titan Xp");
+    let four_targets = launches_and_misses("GTX 1080 Ti,V100S,A100,H100");
+    assert!(one.0 > 0);
+    assert_eq!(one.1, 1, "one device analyses the model once");
     assert_eq!(one, two, "the second device recounted the model");
+    assert_eq!(one, four_targets, "another sm target re-analysed the model");
     assert!(!corpus.exists(), "estimate must not build the corpus");
 }

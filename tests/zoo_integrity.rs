@@ -2,6 +2,7 @@
 //! stay close to the paper's trainable-parameter count.
 
 use rayon::prelude::*;
+use std::collections::BTreeSet;
 
 /// Per-model tolerance on trainable parameters vs the paper's Table I.
 /// Most models are exact; NASNet is a faithful-structure approximation and
@@ -38,18 +39,75 @@ fn all_models_match_paper_parameters_within_tolerance() {
 
 #[test]
 fn all_models_lower_to_nonempty_plans() {
-    let bad: Vec<String> = cnn_ir::zoo::all()
-        .par_iter()
-        .filter_map(|e| {
-            let model = (e.build)();
-            match ptx_codegen::lower(&model, "sm_61") {
-                Ok(plan) if !plan.launches.is_empty() => None,
-                Ok(_) => Some(format!("{}: empty plan", e.name)),
-                Err(err) => Some(format!("{}: {err}", e.name)),
-            }
-        })
+    // every model `build_any` resolves, at every device's sm target. Apart
+    // from the module header's `target`, lowering must not depend on the
+    // target: one analysis per model serves every device.
+    let names: Vec<&str> = cnn_ir::zoo::all()
+        .iter()
+        .map(|e| e.name)
+        .chain(cnn_ir::zoo::variants::all_variants().iter().map(|e| e.0))
+        .chain(
+            cnn_ir::zoo::transformer::all_transformers()
+                .iter()
+                .map(|e| e.0),
+        )
         .collect();
+    assert_eq!(names.len(), 45);
+    let targets: BTreeSet<String> = gpu_sim::all_devices()
+        .iter()
+        .map(|d| d.sm_target())
+        .collect();
+    let bad: Vec<String> = names
+        .par_iter()
+        .map(|name| {
+            let model = cnn_ir::zoo::build_any(name).expect("build_any resolves its own names");
+            let base = match ptx_codegen::lower(&model, cnnperf_core::DEFAULT_SM_TARGET) {
+                Ok(plan) if !plan.launches.is_empty() => plan,
+                Ok(_) => return vec![format!("{name}: empty plan")],
+                Err(err) => return vec![format!("{name}: {err}")],
+            };
+            targets
+                .iter()
+                .filter_map(|target| {
+                    let plan =
+                        ptx_codegen::lower(&model, target).expect("it lowered at the default");
+                    assert_eq!(plan.module.target, *target);
+                    plan_differs(&base, &plan).map(|what| format!("{name} at {target}: {what}"))
+                })
+                .collect()
+        })
+        .collect::<Vec<Vec<String>>>()
+        .concat();
     assert!(bad.is_empty(), "{bad:#?}");
+}
+
+/// The first difference between two plans, ignoring `module.target`.
+fn plan_differs(a: &ptx::kernel::LaunchPlan, b: &ptx::kernel::LaunchPlan) -> Option<String> {
+    if a.model_name != b.model_name {
+        return Some("model name".into());
+    }
+    if (a.module.version, a.module.address_size) != (b.module.version, b.module.address_size) {
+        return Some("module header".into());
+    }
+    if a.module.kernels != b.module.kernels {
+        return Some("kernels".into());
+    }
+    if a.launches.len() != b.launches.len() {
+        return Some("launch count".into());
+    }
+    a.launches
+        .iter()
+        .zip(&b.launches)
+        .enumerate()
+        .find_map(|(i, (x, y))| {
+            let same = x.kernel == y.kernel
+                && x.tag == y.tag
+                && x.grid == y.grid
+                && x.args == y.args
+                && x.bytes_read == y.bytes_read
+                && x.bytes_written == y.bytes_written;
+            (!same).then(|| format!("launch {i} ({})", x.tag))
+        })
 }
 
 #[test]
