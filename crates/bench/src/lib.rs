@@ -3,36 +3,20 @@
 //! regeneration binary reuses the same deterministic corpus from disk).
 
 use cnnperf_core::prelude::*;
+use cnnperf_core::{cached_corpus, corpus_cache_path};
 use std::fs;
 use std::path::PathBuf;
 
-/// Location of the cached corpus JSON (override with `CNNPERF_CORPUS`).
-pub fn corpus_path() -> PathBuf {
-    if let Ok(p) = std::env::var("CNNPERF_CORPUS") {
-        return PathBuf::from(p);
-    }
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
-    PathBuf::from(target).join("cnnperf-paper-corpus-v2.json")
-}
-
-/// Load the paper corpus from the crash-safe cache, building (and caching)
-/// it on a miss. The corpus is fully deterministic, so the cache is safe;
-/// [`cnnperf_core::load_corpus`] validates a schema + checksum envelope
-/// and quarantines anything half-written (`<name>.corrupt`), so a crashed
-/// earlier run can never poison this one. A build failure propagates
-/// instead of aborting the process, so regeneration binaries can report
-/// it and exit with a status code.
+/// Load the paper corpus from the crash-safe cache
+/// ([`cnnperf_core::cached_corpus`]), building (and caching) it on a
+/// miss. The corpus is fully deterministic, so the cache is safe. A build
+/// failure propagates instead of aborting the process, so regeneration
+/// binaries can report it and exit with a status code.
 pub fn corpus_cached() -> Result<Corpus, cnnperf_core::ProfileError> {
-    let path = corpus_path();
-    match load_corpus(&path) {
-        // guard against stale caches from older feature layouts
-        Ok(c) if c.dataset.feature_names == cnnperf_core::feature_names() => {
-            eprintln!("[bench] corpus cache hit: {}", path.display());
-            return Ok(c);
-        }
-        Ok(_) => eprintln!("[bench] corpus cache stale (feature layout changed)"),
-        // Absent = clean miss; Quarantined already warned on stderr
-        Err(_) => {}
+    let path = corpus_cache_path();
+    if let Some(c) = cached_corpus() {
+        eprintln!("[bench] corpus cache hit: {}", path.display());
+        return Ok(c);
     }
     eprintln!("[bench] building paper corpus (32 CNNs x 2 GPUs) ...");
     let t0 = std::time::Instant::now();
@@ -115,12 +99,5 @@ mod tests {
         );
         let text = std::fs::read_to_string(&p).expect("written");
         assert_eq!(text, "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn corpus_path_respects_env() {
-        // no env mutation in parallel tests: just exercise the default path
-        let p = corpus_path();
-        assert!(p.to_string_lossy().contains("cnnperf-paper-corpus"));
     }
 }

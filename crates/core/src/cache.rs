@@ -11,11 +11,12 @@
 //! a clean rebuild.
 
 use crate::durable;
+use crate::features::feature_names;
 use crate::pipeline::Corpus;
 use crate::vfs::{real_fs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Corpus-cache traffic: `hits + misses == loads`; quarantines are the
 /// subset of misses where an invalid file was moved aside.
@@ -99,6 +100,31 @@ pub fn load_corpus_on(vfs: &dyn Vfs, path: &Path) -> Result<Corpus, CacheMiss> {
     }
 }
 
+/// Where the CLI and the bench harness cache the paper corpus:
+/// `CNNPERF_CORPUS`, else `cnnperf-paper-corpus-v2.json` under
+/// `CARGO_TARGET_DIR` (or `target`).
+pub fn corpus_cache_path() -> PathBuf {
+    if let Ok(p) = std::env::var("CNNPERF_CORPUS") {
+        return PathBuf::from(p);
+    }
+    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
+    PathBuf::from(target).join("cnnperf-paper-corpus-v2.json")
+}
+
+/// The corpus at [`corpus_cache_path`], or `None` when the cache is
+/// absent, quarantined or holds an older feature layout.
+pub fn cached_corpus() -> Option<Corpus> {
+    match load_corpus(&corpus_cache_path()) {
+        Ok(c) if c.dataset.feature_names == feature_names() => Some(c),
+        Ok(_) => {
+            eprintln!("corpus cache stale (feature layout changed)");
+            None
+        }
+        // Absent is a clean miss; Quarantined already warned on stderr
+        Err(_) => None,
+    }
+}
+
 /// Store a corpus at `path` crash-safely: an envelope with schema and
 /// checksum, published through [`durable::publish`]. After this returns
 /// `Ok`, the file survives a power loss.
@@ -149,6 +175,13 @@ mod tests {
     fn fnv1a_matches_the_standard_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+    }
+
+    #[test]
+    fn corpus_path_respects_env() {
+        // no env mutation in parallel tests: just exercise the default path
+        let p = corpus_cache_path();
+        assert!(p.to_string_lossy().contains("cnnperf-paper-corpus"));
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!   tripped so the cooperative loops in `ptx-analysis` and `gpu-sim`
 //!   unwind within their documented check intervals;
 //! - tier work runs on a worker thread under `catch_unwind`, so a panic
-//!   is a recorded tier failure, not a batch abort;
+//!   is a recorded tier failure, not an abort;
 //! - a per-tier [`CircuitBreaker`] (logical-tick clock, see
 //!   [`crate::resilience`]) stops routing work to a tier that keeps
-//!   failing, and re-probes it after a cooldown;
-//! - batches are bounded: requests beyond [`EngineConfig::queue_capacity`]
-//!   are shed immediately with an explicit `Overloaded` outcome.
+//!   failing, and re-probes it after a cooldown.
+//!
+//! Admission control is not the engine's: the server's scheduler sheds
+//! load by QoS class before a request reaches it.
 //!
 //! The result is the availability contract the chaos suite asserts: every
 //! request returns a classified [`EstimateOutcome`] within deadline + ε,
@@ -36,15 +37,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Requests entering the engine, shed ones included. The `engine.*`
-/// invariants live in [`crate::invariants::INVARIANTS`].
+/// Requests entering the engine. The `engine.*` invariants live in
+/// [`crate::invariants::INVARIANTS`].
 static ENGINE_REQUESTS: obs::LazyCounter = obs::LazyCounter::new("engine.requests");
 static ENGINE_SERVED: obs::LazyCounter = obs::LazyCounter::new("engine.outcome.served");
 static ENGINE_EXHAUSTED: obs::LazyCounter = obs::LazyCounter::new("engine.outcome.exhausted");
-static ENGINE_OVERLOADED: obs::LazyCounter = obs::LazyCounter::new("engine.outcome.overloaded");
-/// Requests shed at admission (same events as `engine.outcome.overloaded`,
-/// kept separate so load-shedding is greppable on its own).
-static ENGINE_SHED: obs::LazyCounter = obs::LazyCounter::new("engine.shed");
 /// Stale-cache tier traffic.
 static ENGINE_CACHE_LOOKUPS: obs::LazyCounter = obs::LazyCounter::new("engine.cache.lookups");
 static ENGINE_CACHE_HITS: obs::LazyCounter = obs::LazyCounter::new("engine.cache.hits");
@@ -203,12 +200,10 @@ pub enum OutcomeKind {
     Served { tier: Tier },
     /// Every tier in the ladder failed; `attempts` says how.
     Exhausted,
-    /// Shed at admission: the batch exceeded the engine's queue capacity.
-    Overloaded,
 }
 
 /// The classified result of one estimation request. Every request gets
-/// one — success, degradation, exhaustion and load-shedding all included.
+/// one — success, degradation and exhaustion all included.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EstimateOutcome {
     pub model: String,
@@ -240,7 +235,6 @@ impl EstimateOutcome {
         let kind = match &self.kind {
             OutcomeKind::Served { tier } => format!("served:{tier}"),
             OutcomeKind::Exhausted => "exhausted".into(),
-            OutcomeKind::Overloaded => "overloaded".into(),
         };
         let ipc = match self.ipc {
             Some(v) => format!("{v:.9}"),
@@ -268,29 +262,23 @@ impl EstimateOutcome {
     }
 }
 
-/// Engine configuration.
+/// Engine configuration. Each request brings its own deadline.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Wall-clock budget per request, milliseconds.
-    pub deadline_ms: u64,
     /// Tier ladder, tried in order.
     pub tiers: Vec<Tier>,
     /// Circuit-breaker tuning shared by all tiers.
     pub breaker: BreakerConfig,
     /// Chaos injection (tests and drills; `none` in production).
     pub chaos: ChaosProfile,
-    /// Requests admitted per batch; the rest are shed as `Overloaded`.
-    pub queue_capacity: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            deadline_ms: 2000,
             tiers: Tier::LADDER.to_vec(),
             breaker: BreakerConfig::default(),
             chaos: ChaosProfile::none(),
-            queue_capacity: 64,
         }
     }
 }
@@ -301,7 +289,7 @@ impl Default for EngineConfig {
 pub struct ResilientEngine {
     config: EngineConfig,
     breakers: HashMap<Tier, CircuitBreaker>,
-    /// Logical clock: one tick per admitted request.
+    /// Logical clock: one tick per request.
     tick: u64,
     /// (model, device) -> (ipc, latency_ms): warmed from a corpus and
     /// refreshed by every live success, read by the stale-cache tier.
@@ -341,18 +329,6 @@ impl ResilientEngine {
         self
     }
 
-    /// Install an already-trained predictor as a new slot generation.
-    /// Takes `&self`: the slot swaps atomically, so a retrained predictor
-    /// can land on an engine shared behind an `Arc`, mid-request.
-    pub fn set_predictor_arc(&self, predictor: Arc<PerformancePredictor>) {
-        self.slot.install(predictor);
-    }
-
-    /// The hot-swap slot backing the regressor tier.
-    pub fn predictor_slot(&self) -> &Arc<PredictorSlot> {
-        &self.slot
-    }
-
     /// Publish live-tier successes (detailed/analytical IPC with the
     /// paper's feature row) into `log` as ground truth for retraining.
     pub fn set_ground_truth_log(&mut self, log: Arc<MeasurementLog>) {
@@ -382,19 +358,9 @@ impl ResilientEngine {
             .unwrap_or(BreakerState::Closed)
     }
 
-    /// Estimate one (model, device) cell through the tier ladder.
-    pub fn estimate(&mut self, model: &str, device: &str) -> EstimateOutcome {
-        self.estimate_with_deadline(model, device, self.config.deadline_ms)
-    }
-
-    /// [`estimate`](Self::estimate) under an explicit per-request deadline
-    /// (the server maps QoS classes to deadlines through this).
-    pub fn estimate_with_deadline(
-        &mut self,
-        model: &str,
-        device: &str,
-        deadline_ms: u64,
-    ) -> EstimateOutcome {
+    /// Estimate one (model, device) cell through the tier ladder within
+    /// `deadline_ms` of wall time, counted from this call.
+    pub fn estimate(&mut self, model: &str, device: &str, deadline_ms: u64) -> EstimateOutcome {
         self.estimate_inner(model, device, deadline_ms, false)
     }
 
@@ -555,37 +521,6 @@ impl ResilientEngine {
         )
     }
 
-    /// Process a batch sequentially. The first
-    /// [`EngineConfig::queue_capacity`] requests are admitted; the later
-    /// arrivals are shed immediately with `Overloaded` — an overloaded
-    /// engine answers fast rather than queueing into its own deadline.
-    /// Class-aware admission belongs to the server's scheduler.
-    pub fn estimate_batch(&mut self, requests: &[(String, String)]) -> Vec<EstimateOutcome> {
-        let capacity = self.config.queue_capacity;
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, (model, device))| {
-                if i < capacity {
-                    return self.estimate(model, device);
-                }
-                ENGINE_REQUESTS.inc();
-                ENGINE_OVERLOADED.inc();
-                ENGINE_SHED.inc();
-                EstimateOutcome {
-                    model: model.clone(),
-                    device: device.clone(),
-                    kind: OutcomeKind::Overloaded,
-                    ipc: None,
-                    latency_ms: None,
-                    attempts: Vec::new(),
-                    elapsed_ms: 0.0,
-                    generation: None,
-                }
-            })
-            .collect()
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn outcome(
         &self,
@@ -606,8 +541,6 @@ impl ResilientEngine {
                     .inc();
             }
             OutcomeKind::Exhausted => ENGINE_EXHAUSTED.inc(),
-            // shed requests never reach here; counted in estimate_batch
-            OutcomeKind::Overloaded => ENGINE_OVERLOADED.inc(),
         }
         EstimateOutcome {
             model: model.to_string(),
@@ -777,11 +710,10 @@ mod tests {
     #[test]
     fn healthy_engine_serves_from_top_tier() {
         let mut engine = ResilientEngine::new(EngineConfig {
-            deadline_ms: 30_000,
             tiers: vec![Tier::Analytical, Tier::StaleCache],
             ..EngineConfig::default()
         });
-        let out = engine.estimate("mobilenet", "Quadro P1000");
+        let out = engine.estimate("mobilenet", "Quadro P1000", 30_000);
         assert_eq!(
             out.kind,
             OutcomeKind::Served {
@@ -797,7 +729,7 @@ mod tests {
             ..EngineConfig::default()
         });
         cached.cache = engine.cache.clone();
-        let hit = cached.estimate("mobilenet", "Quadro P1000");
+        let hit = cached.estimate("mobilenet", "Quadro P1000", 2_000);
         assert_eq!(
             hit.kind,
             OutcomeKind::Served {
@@ -810,34 +742,16 @@ mod tests {
     #[test]
     fn unknown_model_exhausts_with_classified_errors() {
         let mut engine = ResilientEngine::new(EngineConfig {
-            deadline_ms: 10_000,
             tiers: vec![Tier::Analytical, Tier::StaleCache],
             ..EngineConfig::default()
         });
-        let out = engine.estimate("not-a-model", "V100S");
+        let out = engine.estimate("not-a-model", "V100S", 10_000);
         assert_eq!(out.kind, OutcomeKind::Exhausted);
         assert_eq!(out.attempts.len(), 2);
         assert!(
             matches!(&out.attempts[0].failure, TierFailure::Error(m) if m.contains("unknown model"))
         );
         assert_eq!(out.attempts[1].failure, TierFailure::CacheMiss);
-    }
-
-    #[test]
-    fn batch_sheds_load_beyond_capacity() {
-        let mut engine = ResilientEngine::new(EngineConfig {
-            queue_capacity: 1,
-            tiers: vec![Tier::StaleCache],
-            ..EngineConfig::default()
-        });
-        let reqs: Vec<(String, String)> = (0..3)
-            .map(|i| (format!("m{i}"), "V100S".to_string()))
-            .collect();
-        let outs = engine.estimate_batch(&reqs);
-        assert_eq!(outs.len(), 3);
-        assert_eq!(outs[0].kind, OutcomeKind::Exhausted); // admitted, cache miss
-        assert_eq!(outs[1].kind, OutcomeKind::Overloaded);
-        assert_eq!(outs[2].kind, OutcomeKind::Overloaded);
     }
 
     #[test]
@@ -850,35 +764,10 @@ mod tests {
             .cache
             .insert(("m".to_string(), "d".to_string()), (1.0, None));
         // the cached ladder serves, the live ladder has nothing left
-        assert!(engine.estimate("m", "d").served());
+        assert!(engine.estimate("m", "d", 1_000).served());
         let live = engine.estimate_live("m", "d", 1_000);
         assert_eq!(live.kind, OutcomeKind::Exhausted);
         assert!(live.attempts.is_empty(), "skipped tiers leave no attempts");
-    }
-
-    #[test]
-    fn set_predictor_arc_works_on_shared_engine() {
-        // regression: set_predictor_arc used to take &mut self, so a
-        // retrained predictor could not be installed on an engine shared
-        // behind an Arc without rebuilding the scheduler
-        use crate::features::feature_names;
-        let mut d = mlkit::Dataset::new(feature_names());
-        let nf = d.feature_names.len();
-        for i in 0..8 {
-            let mut row = vec![0.0; nf];
-            row[0] = i as f64;
-            d.push(format!("r{i}"), row, 1.0 + i as f64);
-        }
-        let p = Arc::new(PerformancePredictor::train(
-            &d,
-            mlkit::RegressorKind::DecisionTree,
-            1,
-        ));
-        let engine = Arc::new(ResilientEngine::new(EngineConfig::default()));
-        engine.set_predictor_arc(Arc::clone(&p));
-        assert_eq!(engine.predictor_slot().generation(), 1);
-        engine.set_predictor_arc(p);
-        assert_eq!(engine.predictor_slot().generation(), 2);
     }
 
     #[test]

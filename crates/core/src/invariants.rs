@@ -18,9 +18,8 @@ use std::fmt;
 
 /// Every counter invariant, with the reason it holds.
 pub const INVARIANTS: &[&str] = &[
-    // every request entering the engine ends in exactly one outcome; shed
-    // requests count as requests and as overloaded
-    "engine.requests: engine.outcome.served + engine.outcome.exhausted + engine.outcome.overloaded == engine.requests",
+    // every request entering the engine ends in exactly one outcome
+    "engine.requests: engine.outcome.served + engine.outcome.exhausted == engine.requests",
     // every stale-cache lookup is a hit or a miss
     "engine.cache.lookups: engine.cache.hits + engine.cache.misses == engine.cache.lookups",
     // every consultation of a tier is an attempt (cache lookups, breaker-open

@@ -49,7 +49,8 @@ pub use analysis_cache::{
     AnalyzedModel, ANALYSIS_CACHE_CAPACITY,
 };
 pub use cache::{
-    load_corpus, load_corpus_on, store_corpus, store_corpus_on, CacheMiss, CORPUS_CACHE_SCHEMA,
+    cached_corpus, corpus_cache_path, load_corpus, load_corpus_on, store_corpus, store_corpus_on,
+    CacheMiss, CORPUS_CACHE_SCHEMA,
 };
 pub use dse::{naive_profile_time, rank_devices, DseOutcome};
 pub use engine::{
@@ -77,8 +78,8 @@ pub use ptx_analysis::clear_kernel_table;
 pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, Deadline};
 pub use scrub::{scrub_dir, scrub_path, Finding, FindingKind, Repair, ScrubOptions, ScrubReport};
 pub use server::{
-    DrainController, DrainReport, DrainState, QosClass, QosPolicy, Scheduler, ServeError, Server,
-    ServerConfig, SessionEnd, SubmitError,
+    default_sigpipe, DrainController, DrainReport, DrainState, QosClass, QosPolicy, Scheduler,
+    ServeError, Server, ServerConfig, SessionEnd, SubmitError,
 };
 pub use supervise::{CellGuard, SuperviseConfig, Supervisor};
 pub use vfs::{

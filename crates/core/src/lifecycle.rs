@@ -698,15 +698,6 @@ impl LifecycleManager {
         // final pass so measurements produced during drain are journaled
         self.ingest();
     }
-
-    /// Journal length (test and stats visibility).
-    pub fn journal_len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .journal
-            .len()
-    }
 }
 
 #[cfg(test)]

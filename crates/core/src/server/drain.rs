@@ -25,6 +25,9 @@
 //! ([`install_signal_drain`] / [`signal_drain_requested`]): the handler
 //! only stores an `AtomicBool` (async-signal-safe); the serve loop polls
 //! the flag and performs the actual transition outside signal context.
+//! SIGPIPE stays ignored while serving, so a session whose reader is gone
+//! sees a write error and drains; every other command restores its
+//! default action ([`default_sigpipe`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -103,31 +106,49 @@ pub fn signal_drain_requested() -> bool {
     SIGNAL_DRAIN.load(Ordering::SeqCst)
 }
 
-/// Test hook: simulate signal delivery without raising a real signal.
-pub fn trigger_signal_drain() {
-    SIGNAL_DRAIN.store(true, Ordering::SeqCst);
-}
-
 #[cfg(unix)]
 extern "C" fn drain_signal_handler(_signum: i32) {
     // async-signal-safe: a single atomic store, nothing else
     SIGNAL_DRAIN.store(true, Ordering::SeqCst);
 }
 
+// libc's `signal` (always linked on unix), so the workspace stays free of
+// external crates; the handler is a `sighandler_t`, where 0 is `SIG_DFL`
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+}
+
 /// Install SIGTERM/SIGINT handlers that arm [`signal_drain_requested`].
-/// Uses libc's `signal` directly (always linked on unix) so the workspace
-/// stays free of external crates. No-op on non-unix targets.
+/// No-op on non-unix targets.
 pub fn install_signal_drain() {
     #[cfg(unix)]
     {
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        let handler = drain_signal_handler as extern "C" fn(i32) as usize;
+        // SAFETY: both are valid signal numbers, and the handler is an
+        // `extern "C" fn(i32)` that only stores an atomic
         unsafe {
-            signal(SIGTERM, drain_signal_handler);
-            signal(SIGINT, drain_signal_handler);
+            signal(SIGTERM, handler);
+            signal(SIGINT, handler);
+        }
+    }
+}
+
+/// Give SIGPIPE back its default action, which the Rust runtime ignores:
+/// a command whose stdout reader is gone (`cnnperf list | head -1`) then
+/// ends by the signal instead of panicking on its next write. No-op on
+/// non-unix targets.
+pub fn default_sigpipe() {
+    #[cfg(unix)]
+    {
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: a valid signal number and `SIG_DFL`; no code of ours
+        // runs on delivery
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
         }
     }
 }

@@ -24,7 +24,9 @@ pub mod qos;
 pub mod scheduler;
 pub mod session;
 
-pub use drain::{install_signal_drain, signal_drain_requested, DrainController, DrainState};
+pub use drain::{
+    default_sigpipe, install_signal_drain, signal_drain_requested, DrainController, DrainState,
+};
 pub use protocol::{
     parse_frame, EstimateRequest, Frame, ProtocolError, DEFAULT_FRAME_STALL_MS,
     DEFAULT_MAX_FRAME_BYTES,

@@ -249,7 +249,6 @@ pub fn result_body(outcome: &EstimateOutcome, retries: u32) -> String {
     let kind = match &outcome.kind {
         OutcomeKind::Served { tier } => format!("served:{tier}"),
         OutcomeKind::Exhausted => "exhausted".into(),
-        OutcomeKind::Overloaded => "overloaded".into(),
     };
     json_string(&kind, &mut out);
     let stale = matches!(

@@ -577,7 +577,7 @@ fn run_job(
         let outcome = if revalidate {
             engine.estimate_live(&key.0, &key.1, deadline_ms)
         } else {
-            engine.estimate_with_deadline(&key.0, &key.1, deadline_ms)
+            engine.estimate(&key.0, &key.1, deadline_ms)
         };
         if retries < cfg.max_retries && transient(&outcome) {
             retries += 1;
@@ -684,7 +684,6 @@ mod tests {
         let cfg = ServerConfig {
             workers: 1,
             engine: EngineConfig {
-                deadline_ms: 2_000,
                 tiers: vec![Tier::Analytical, Tier::StaleCache],
                 chaos: gpu_sim::ChaosProfile {
                     panic_rate: 1.0,

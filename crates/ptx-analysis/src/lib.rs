@@ -23,7 +23,6 @@ pub mod exec;
 pub mod poly;
 pub mod prepared;
 pub mod slice;
-pub mod stats;
 
 pub use cfg::Cfg;
 pub use count::{
@@ -42,4 +41,3 @@ pub use prepared::{
     KERNEL_TABLE_CAPACITY,
 };
 pub use slice::{branch_slice, slice_fraction};
-pub use stats::{kernel_stats, KernelStats};

@@ -48,15 +48,6 @@ impl From<Reg> for Operand {
     }
 }
 
-impl Operand {
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
-}
-
 /// A memory address: `[base + offset]` where base is a register, or a named
 /// kernel parameter `[name + offset]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]

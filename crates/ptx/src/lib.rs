@@ -24,4 +24,4 @@ pub use inst::{AddrBase, Address, BodyElem, Category, Instruction, LabelId, Op, 
 pub use kernel::{Kernel, KernelLaunch, KernelParam, LaunchPlan, Module};
 pub use parser::{parse_module, ParseError};
 pub use types::{BinOp, CmpOp, Reg, RegClass, Space, SpecialReg, Type, UnOp};
-pub use verify::{verify_kernel, verify_module, VerifyError};
+pub use verify::{verify_kernel, VerifyError};

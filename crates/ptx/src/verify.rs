@@ -12,7 +12,7 @@
 //!   instructions after an unconditional terminator (except labels).
 
 use crate::inst::{AddrBase, BodyElem, Op};
-use crate::kernel::{Kernel, Module};
+use crate::kernel::Kernel;
 use crate::types::{Reg, RegClass};
 use std::collections::HashSet;
 use std::fmt;
@@ -176,11 +176,6 @@ pub fn verify_kernel(kernel: &Kernel) -> Vec<VerifyError> {
     }
 
     errors
-}
-
-/// Verify every kernel of a module.
-pub fn verify_module(module: &Module) -> Vec<VerifyError> {
-    module.kernels.iter().flat_map(verify_kernel).collect()
 }
 
 #[cfg(test)]

@@ -56,16 +56,20 @@ tables:
 corpus-harsh:
     cargo run --release -- corpus --runs 5 --fault-profile harsh
 
-# End-to-end observability smoke: run a small estimation batch with
-# `--stats json`, then validate the snapshot's schema and counter
-# invariants with `stats-check`. Two Pascal (sm_61) devices guarantee
-# warm analysis-cache traffic, so the `analysis.cache.*` invariants
-# (hits + misses == lookups, evictions <= misses) are exercised for real.
+# End-to-end observability smoke: estimate 8 models on all 9 devices (72
+# requests) with `--stats json`, require every request served, then
+# validate the snapshot's schema and counter invariants with
+# `stats-check`. Every device after a model's first reads its one
+# analysis, so the `analysis.cache.*` invariants (hits + misses ==
+# lookups, evictions <= misses) see hits and misses, and
+# `engine.requests` is checked on a batch of more than 64.
 stats-smoke:
     mkdir -p target
-    cargo run --release -- estimate "alexnet,mobilenet" "GTX 1080 Ti,Titan Xp,V100S" \
-        --tiers analytical --deadline-ms 60000 --stats json > target/stats-smoke.out
+    cargo run --release -- estimate \
+        "alexnet,mobilenet,squeezenet1.1,shufflenet_g4,vit-micro,bert-micro,gpt-micro,deit-micro" \
+        --all-devices --tiers analytical --deadline-ms 60000 --stats json > target/stats-smoke.out
     cargo run --release -- stats-check target/stats-smoke.out
+    grep -q '^served 72/72 ' target/stats-smoke.out
 
 # Kill-resume smoke: SIGKILL a journaled corpus build mid-flight, resume
 # it, and require the resumed canonical corpus to be byte-identical to an

@@ -12,23 +12,23 @@
 
 use cnnperf::prelude::*;
 use cnnperf_core::{
-    build_corpus_robust_with, BuildMeta, BuildOptions, Journal, JournalError, ProfileError, Replay,
-    ScrubOptions, SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    build_corpus_robust_with, cached_corpus, corpus_cache_path, BuildMeta, BuildOptions, Journal,
+    JournalError, ProfileError, Replay, ScrubOptions, SuperviseConfig, Supervisor,
+    DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
 };
 use gpu_sim::{estimate_power, ChaosProfile, FaultProfile, SimMode, Simulator};
 use std::collections::BTreeMap;
 use std::fmt::Display;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 
 /// Exit-code taxonomy (documented in the README): `0` success, `1`
 /// generic failure, then one code per distinguishable operational
-/// condition so scripts and CI can branch without scraping stderr.
+/// condition so scripts and CI can branch without scraping stderr. Code
+/// 3 is retired.
 const EXIT_USAGE: u8 = 2;
-/// The estimation engine shed load at admission (queue over capacity).
-const EXIT_OVERLOADED: u8 = 3;
-/// Requests missed the deadline (unserved, but not load-shed).
+/// Some `estimate` requests went unserved within their deadline.
 const EXIT_DEADLINE: u8 = 4;
 /// A crash-safe artifact (corpus cache or cell journal) was corrupt and
 /// the command was not allowed to degrade around it (`--strict`).
@@ -65,7 +65,7 @@ fn usage() -> ExitCode {
                                          that cancels silent cells, --out writes the\n\
                                          canonical (wall-clock-free) corpus JSON\n\
            estimate <models> <devices|--all-devices> [--deadline-ms N] [--tiers t1,t2,..]\n\
-                    [--chaos none|k=v,..] [--queue-capacity N] [--stats json|prom]\n\
+                    [--chaos none|k=v,..] [--stats json|prom]\n\
                                          deadline-bounded batch estimation through the\n\
                                          tiered engine (detailed > analytical > regressor\n\
                                          > stale-cache); models/devices comma-separated\n\
@@ -105,7 +105,7 @@ fn usage() -> ExitCode {
                                          schema, shape, and counter invariants\n\
            ptx <model>                   print the generated PTX module\n\
            dot <model>                   print the model graph as Graphviz\n\
-         exit codes: 0 ok, 1 failure, 2 usage/config error, 3 overloaded,\n\
+         exit codes: 0 ok, 1 failure, 2 usage/config error,\n\
                      4 deadline exceeded, 5 corrupt cache/journal,\n\
                      6 server bind/socket error, 7 model store init failure,\n\
                      8 scrub found unrepaired damage"
@@ -148,7 +148,7 @@ const COMMANDS: &[Command] = &[
     ),
     (
         "estimate",
-        "--deadline-ms= --tiers= --chaos= --queue-capacity= --stats= --all-devices",
+        "--deadline-ms= --tiers= --chaos= --stats= --all-devices",
         1,
         2,
         cmd_estimate,
@@ -361,36 +361,13 @@ fn emit_stats(fmt: Option<StatsFormat>) {
     }
 }
 
-/// Location of the crash-safe corpus cache (shared with the bench
-/// harness; override with `CNNPERF_CORPUS`).
-fn corpus_cache_path() -> PathBuf {
-    if let Ok(p) = std::env::var("CNNPERF_CORPUS") {
-        return PathBuf::from(p);
-    }
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
-    PathBuf::from(target).join("cnnperf-paper-corpus-v2.json")
-}
-
-/// Load the corpus from the crash-safe cache without building on a miss.
-fn corpus_if_cached() -> Option<Corpus> {
-    match load_corpus(&corpus_cache_path()) {
-        Ok(c) if c.dataset.feature_names == feature_names() => Some(c),
-        Ok(_) => {
-            eprintln!("corpus cache stale (feature layout changed)");
-            None
-        }
-        // Absent is a clean miss; Quarantined already warned on stderr
-        Err(_) => None,
-    }
-}
-
 /// Load the full paper corpus from the crash-safe cache, or build and
 /// cache it. A build runs under the given journal (checkpointing every
 /// cell) and watchdog, so a killed `rank` warm-up can be resumed instead
 /// of restarted. It uses the paper's strict single-run protocol — the
 /// same corpus the cache would have held.
 fn corpus(journaling: &Journaling) -> Result<Corpus, ExitCode> {
-    if let Some(c) = corpus_if_cached() {
+    if let Some(c) = cached_corpus() {
         return Ok(c);
     }
     eprintln!("building training corpus (32 CNNs x 2 GPUs, ~6 s on 2 cores, cached afterwards)...");
@@ -721,12 +698,13 @@ fn cmd_corpus(a: &Args) -> Exit {
 }
 
 fn cmd_estimate(a: &Args) -> Exit {
+    /// Each request's deadline when `--deadline-ms` is not given.
+    const DEFAULT_DEADLINE_MS: u64 = 2000;
+    let deadline_ms = a.get_or("--deadline-ms", DEFAULT_DEADLINE_MS, at_least(1u64))?;
     let defaults = EngineConfig::default();
     let config = EngineConfig {
-        deadline_ms: a.get_or("--deadline-ms", defaults.deadline_ms, at_least(1u64))?,
         tiers: a.get_or("--tiers", defaults.tiers, Tier::parse_ladder)?,
         chaos: a.get_or("--chaos", defaults.chaos, ChaosProfile::parse)?,
-        queue_capacity: a.get_or("--queue-capacity", defaults.queue_capacity, at_least(1))?,
         ..defaults
     };
     let stats = a.get("--stats", StatsFormat::parse)?;
@@ -736,7 +714,7 @@ fn cmd_estimate(a: &Args) -> Exit {
             "estimate needs <models> and <devices> (or --all-devices)",
         ));
     }
-    let models: Vec<String> = a.pos[0].split(',').map(|s| s.trim().to_string()).collect();
+    let models: Vec<&str> = a.pos[0].split(',').map(str::trim).collect();
     let devices: Vec<String> = if all_devices {
         gpu_sim::all_devices()
             .iter()
@@ -745,16 +723,13 @@ fn cmd_estimate(a: &Args) -> Exit {
     } else {
         a.pos[1].split(',').map(|s| s.trim().to_string()).collect()
     };
-    let requests: Vec<(String, String)> = models
-        .iter()
-        .flat_map(|m| devices.iter().map(move |d| (m.clone(), d.clone())))
-        .collect();
+    let requests = models.len() * devices.len();
 
     let mut engine = ResilientEngine::new(config.clone());
     // a cached corpus arms the regressor and stale-cache tiers; estimation
     // is deadline-bounded, so a cache miss must not trigger a corpus build
     // here — the tiers simply degrade
-    if let Some(corpus) = corpus_if_cached() {
+    if let Some(corpus) = cached_corpus() {
         engine.warm_from_corpus(&corpus);
         engine = engine.with_predictor(PerformancePredictor::train(
             &corpus.dataset,
@@ -772,9 +747,7 @@ fn cmd_estimate(a: &Args) -> Exit {
     }
 
     println!(
-        "estimating {} request(s), deadline {} ms, tiers [{}]:",
-        requests.len(),
-        config.deadline_ms,
+        "estimating {requests} request(s), deadline {deadline_ms} ms, tiers [{}]:",
         config
             .tiers
             .iter()
@@ -782,25 +755,18 @@ fn cmd_estimate(a: &Args) -> Exit {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let outcomes = engine.estimate_batch(&requests);
     let mut served = 0;
-    for out in &outcomes {
-        if out.served() {
-            served += 1;
+    for model in &models {
+        for device in &devices {
+            let out = engine.estimate(model, device, deadline_ms);
+            served += usize::from(out.served());
+            println!("  {} elapsed_ms={:.1}", out.canonical(), out.elapsed_ms);
         }
-        println!("  {} elapsed_ms={:.1}", out.canonical(), out.elapsed_ms);
     }
-    println!("served {served}/{} within deadline", outcomes.len());
+    println!("served {served}/{requests} within deadline");
     emit_stats(stats);
-    Ok(if served == outcomes.len() {
+    Ok(if served == requests {
         ExitCode::SUCCESS
-    } else if outcomes
-        .iter()
-        .any(|o| matches!(o.kind, OutcomeKind::Overloaded))
-    {
-        // load shed at admission outranks a mere deadline miss: the
-        // caller's remedy (back off / raise capacity) is different
-        ExitCode::from(EXIT_OVERLOADED)
     } else {
         ExitCode::from(EXIT_DEADLINE)
     })
@@ -852,7 +818,7 @@ fn cmd_serve(a: &Args) -> Exit {
     // a cached corpus arms every shard's regressor + stale-cache tiers;
     // like `estimate`, a cache miss degrades instead of blocking startup
     // on a corpus build
-    let corpus = corpus_if_cached().map(Arc::new);
+    let corpus = cached_corpus().map(Arc::new);
     match &corpus {
         Some(c) => eprintln!(
             "serve: corpus cache armed regressor + stale-cache tiers ({} samples)",
@@ -1199,6 +1165,11 @@ fn main() -> ExitCode {
     let Some(command) = COMMANDS.iter().find(|c| c.0 == *name) else {
         return usage();
     };
+    // `serve` keeps SIGPIPE ignored, so a session whose reader is gone
+    // sees a write error and still drains
+    if command.0 != "serve" {
+        cnnperf_core::default_sigpipe();
+    }
     let run = || -> Exit {
         let parsed = Args::parse(command, args)?;
         if parsed.pos.len() < command.2 {

@@ -157,11 +157,10 @@ fn estimate_then_dse_shares_one_analysis() {
     // an analytical-tier estimate on any device warms the model's one
     // analysis...
     let mut engine = ResilientEngine::new(EngineConfig {
-        deadline_ms: 60_000,
         tiers: vec![Tier::Analytical],
         ..EngineConfig::default()
     });
-    let out = engine.estimate(model, "GTX 1080 Ti");
+    let out = engine.estimate(model, "GTX 1080 Ti", 60_000);
     assert_eq!(
         out.kind,
         OutcomeKind::Served {

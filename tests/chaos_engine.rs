@@ -30,7 +30,6 @@ fn storm_requests() -> Vec<(String, String)> {
 
 fn storm_config() -> EngineConfig {
     EngineConfig {
-        deadline_ms: DEADLINE_MS,
         // the detailed tier is exercised by the targeted tests below; the
         // storm runs the cheap tiers so every non-faulted invocation
         // finishes orders of magnitude inside its slice
@@ -46,11 +45,23 @@ fn storm_config() -> EngineConfig {
     }
 }
 
+/// One engine answers the requests in order, each within `deadline_ms`.
+fn estimate_all(
+    engine: &mut ResilientEngine,
+    requests: &[(String, String)],
+    deadline_ms: u64,
+) -> Vec<EstimateOutcome> {
+    requests
+        .iter()
+        .map(|(m, d)| engine.estimate(m, d, deadline_ms))
+        .collect()
+}
+
 #[test]
 fn chaos_storm_every_request_classified_within_deadline() {
     let requests = storm_requests();
     let mut engine = ResilientEngine::new(storm_config());
-    let outcomes = engine.estimate_batch(&requests);
+    let outcomes = estimate_all(&mut engine, &requests, DEADLINE_MS);
     assert_eq!(outcomes.len(), requests.len(), "no request may vanish");
     let budget_ms = DEADLINE_MS as f64 * 1.1;
     let mut degradations = 0;
@@ -72,7 +83,6 @@ fn chaos_storm_every_request_classified_within_deadline() {
                     "exhausted outcome must explain itself"
                 );
             }
-            OutcomeKind::Overloaded => panic!("storm batch fits the queue"),
         }
         degradations += out.attempts.len();
     }
@@ -87,8 +97,7 @@ fn fixed_seed_chaos_runs_are_byte_identical() {
     let requests = storm_requests();
     let render = || {
         let mut engine = ResilientEngine::new(storm_config());
-        engine
-            .estimate_batch(&requests)
+        estimate_all(&mut engine, &requests, DEADLINE_MS)
             .iter()
             .map(|o| o.canonical())
             .collect::<Vec<_>>()
@@ -131,12 +140,11 @@ fn hung_detailed_tier_degrades_to_analytical_within_deadline() {
     };
     let seed = seed_with(model, device, Tier::Detailed, Tier::Analytical, profile);
     let mut engine = ResilientEngine::new(EngineConfig {
-        deadline_ms: DEADLINE_MS,
         tiers: vec![Tier::Detailed, Tier::Analytical],
         chaos: profile(seed),
         ..EngineConfig::default()
     });
-    let out = engine.estimate(model, device);
+    let out = engine.estimate(model, device, DEADLINE_MS);
     assert_eq!(
         out.kind,
         OutcomeKind::Served {
@@ -160,7 +168,6 @@ fn hung_detailed_tier_degrades_to_analytical_within_deadline() {
 fn injected_panics_are_contained_not_fatal() {
     // every worker tier panics; the batch must still finish, classified
     let mut engine = ResilientEngine::new(EngineConfig {
-        deadline_ms: DEADLINE_MS,
         tiers: vec![Tier::Analytical, Tier::StaleCache],
         chaos: ChaosProfile {
             hang_rate: 0.0,
@@ -175,7 +182,7 @@ fn injected_panics_are_contained_not_fatal() {
         ("mobilenet".into(), "V100S".into()),
         ("alexnet".into(), "V100S".into()),
     ];
-    let outcomes = engine.estimate_batch(&requests);
+    let outcomes = estimate_all(&mut engine, &requests, DEADLINE_MS);
     assert_eq!(outcomes.len(), 2);
     for out in &outcomes {
         assert_eq!(out.kind, OutcomeKind::Exhausted);
@@ -196,7 +203,6 @@ fn breaker_opens_under_sustained_tier_failure_and_saves_deadline_budget() {
     let breaker = BreakerConfig::default();
     let min_samples = breaker.min_samples;
     let mut engine = ResilientEngine::new(EngineConfig {
-        deadline_ms: 400,
         tiers: vec![Tier::Analytical, Tier::StaleCache],
         breaker,
         chaos: ChaosProfile {
@@ -206,12 +212,11 @@ fn breaker_opens_under_sustained_tier_failure_and_saves_deadline_budget() {
             slow_ms: 0,
             seed: CHAOS_SEED,
         },
-        ..EngineConfig::default()
     });
     let requests: Vec<(String, String)> = (0..8)
         .map(|i| (format!("m{i}"), "V100S".to_string()))
         .collect();
-    let outcomes = engine.estimate_batch(&requests);
+    let outcomes = estimate_all(&mut engine, &requests, 400);
     // early requests time out against the hung tier...
     for out in &outcomes[..min_samples] {
         assert_eq!(
@@ -239,28 +244,6 @@ fn breaker_opens_under_sustained_tier_failure_and_saves_deadline_budget() {
 }
 
 #[test]
-fn overload_is_shed_with_explicit_outcome() {
-    let mut engine = ResilientEngine::new(EngineConfig {
-        queue_capacity: 2,
-        tiers: vec![Tier::StaleCache],
-        ..EngineConfig::default()
-    });
-    let requests: Vec<(String, String)> = (0..5)
-        .map(|i| (format!("m{i}"), "V100S".to_string()))
-        .collect();
-    let outcomes = engine.estimate_batch(&requests);
-    let overloaded = outcomes
-        .iter()
-        .filter(|o| o.kind == OutcomeKind::Overloaded)
-        .count();
-    assert_eq!(overloaded, 3, "3 of 5 requests exceed capacity 2");
-    for out in &outcomes[2..] {
-        assert_eq!(out.kind, OutcomeKind::Overloaded);
-        assert!(out.canonical().contains("overloaded"));
-    }
-}
-
-#[test]
 fn regressor_tier_serves_with_trained_predictor() {
     // a tiny corpus arms the regressor tier; with the expensive tiers
     // disabled the ladder serves from the paper's model
@@ -272,12 +255,11 @@ fn regressor_tier_serves_with_trained_predictor() {
     let corpus = build_corpus(&models, &devices).unwrap();
     let predictor = PerformancePredictor::train(&corpus.dataset, RegressorKind::DecisionTree, 42);
     let mut engine = ResilientEngine::new(EngineConfig {
-        deadline_ms: 30_000,
         tiers: vec![Tier::Regressor],
         ..EngineConfig::default()
     })
     .with_predictor(predictor);
-    let out = engine.estimate("mobilenet", "Quadro P1000");
+    let out = engine.estimate("mobilenet", "Quadro P1000", 30_000);
     assert_eq!(
         out.kind,
         OutcomeKind::Served {
@@ -298,7 +280,6 @@ fn stale_cache_is_the_floor_under_total_tier_failure() {
     let devices = vec![gpu_sim::specs::v100s()];
     let corpus = build_corpus(&models, &devices).unwrap();
     let mut engine = ResilientEngine::new(EngineConfig {
-        deadline_ms: 1200,
         tiers: vec![Tier::Analytical, Tier::StaleCache],
         chaos: ChaosProfile {
             hang_rate: 1.0,
@@ -310,7 +291,7 @@ fn stale_cache_is_the_floor_under_total_tier_failure() {
         ..EngineConfig::default()
     });
     engine.warm_from_corpus(&corpus);
-    let out = engine.estimate("mobilenet", "V100S");
+    let out = engine.estimate("mobilenet", "V100S", 1200);
     assert_eq!(
         out.kind,
         OutcomeKind::Served {

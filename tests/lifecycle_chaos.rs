@@ -338,7 +338,7 @@ fn hot_swap_under_concurrent_load_loses_zero_requests() {
                 let mut engine = ResilientEngine::with_shared_slot(config, slot);
                 let mut generations = Vec::with_capacity(PER_WORKER);
                 for _ in 0..PER_WORKER {
-                    let outcome = engine.estimate("alexnet", "GTX 1080 Ti");
+                    let outcome = engine.estimate("alexnet", "GTX 1080 Ti", 2_000);
                     assert!(
                         outcome.served(),
                         "no request may be lost during hot swaps: {:?}",

@@ -31,10 +31,21 @@ fn four_requests() -> Vec<(String, String)> {
 
 fn quiet_config() -> EngineConfig {
     EngineConfig {
-        deadline_ms: 60_000,
         tiers: vec![Tier::StaleCache, Tier::Analytical],
         ..EngineConfig::default()
     }
+}
+
+/// One engine answers the requests in order, each within `deadline_ms`.
+fn estimate_all(
+    engine: &mut ResilientEngine,
+    requests: &[(String, String)],
+    deadline_ms: u64,
+) -> Vec<EstimateOutcome> {
+    requests
+        .iter()
+        .map(|(m, d)| engine.estimate(m, d, deadline_ms))
+        .collect()
 }
 
 /// Sum of all `engine.tier.<tier>.failure.*` deltas for one tier.
@@ -57,7 +68,7 @@ fn tier_outcomes_sum_to_requests_and_cache_traffic_balances() {
     let before = obs::global().snapshot();
 
     let mut engine = ResilientEngine::new(quiet_config());
-    let outcomes = engine.estimate_batch(&four_requests());
+    let outcomes = estimate_all(&mut engine, &four_requests(), 60_000);
     assert_eq!(outcomes.len(), 4);
 
     let after = obs::global().snapshot();
@@ -67,8 +78,7 @@ fn tier_outcomes_sum_to_requests_and_cache_traffic_balances() {
     assert_eq!(requests, 4, "{d:?}");
     let served = delta(&d, "engine.outcome.served");
     let exhausted = delta(&d, "engine.outcome.exhausted");
-    let overloaded = delta(&d, "engine.outcome.overloaded");
-    assert_eq!(served + exhausted + overloaded, requests, "{d:?}");
+    assert_eq!(served + exhausted, requests, "{d:?}");
 
     // the cold stale-cache tier in front guarantees real lookup traffic
     let lookups = delta(&d, "engine.cache.lookups");
@@ -106,7 +116,7 @@ fn counters_are_identical_across_two_fixed_runs() {
         ptx_analysis::clear_kernel_table();
         let before = obs::global().snapshot();
         let mut engine = ResilientEngine::new(quiet_config());
-        let outcomes = engine.estimate_batch(&four_requests());
+        let outcomes = estimate_all(&mut engine, &four_requests(), 60_000);
         assert!(outcomes.iter().all(|o| o.served()), "warm-path run failed");
         obs::global().snapshot().delta_counters(&before)
     };
@@ -134,14 +144,12 @@ fn chaos_faults_show_up_in_failure_counters() {
     // effectively disabled so every injected fault reaches its tier
     // instead of collapsing into breaker-open failures
     let config = EngineConfig {
-        deadline_ms: 300,
         tiers: vec![Tier::Analytical, Tier::StaleCache],
         chaos: gpu_sim::ChaosProfile::parse("hang=0.5,panic=0.5,seed=7").unwrap(),
         breaker: BreakerConfig {
             min_samples: 1000,
             ..BreakerConfig::default()
         },
-        ..EngineConfig::default()
     };
     let mut engine = ResilientEngine::new(config);
     let mut requests = four_requests();
@@ -150,7 +158,7 @@ fn chaos_faults_show_up_in_failure_counters() {
             requests.push((m.to_string(), d.to_string()));
         }
     }
-    let outcomes = engine.estimate_batch(&requests);
+    let outcomes = estimate_all(&mut engine, &requests, 300);
     assert!(
         outcomes.iter().all(|o| !o.served()),
         "chaos must deny service"
@@ -175,9 +183,7 @@ fn chaos_faults_show_up_in_failure_counters() {
     let requests_n = delta(&d, "engine.requests");
     assert_eq!(requests_n, 8, "{d:?}");
     assert_eq!(
-        delta(&d, "engine.outcome.served")
-            + delta(&d, "engine.outcome.exhausted")
-            + delta(&d, "engine.outcome.overloaded"),
+        delta(&d, "engine.outcome.served") + delta(&d, "engine.outcome.exhausted"),
         requests_n,
         "{d:?}"
     );

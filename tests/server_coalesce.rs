@@ -91,7 +91,7 @@ fn concurrent_identical_requests_coalesce_to_one_computation() {
     // sequential baseline: a fresh engine with the same configuration
     // must produce the exact same payload bytes
     let mut engine = ResilientEngine::new(cfg.engine.clone());
-    let outcome = engine.estimate_with_deadline(
+    let outcome = engine.estimate(
         "alexnet",
         "GTX 1080 Ti",
         cfg.policy.deadline_ms(QosClass::Batch),
