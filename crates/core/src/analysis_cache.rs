@@ -62,10 +62,9 @@ impl AnalyzedModel {
     /// Run the full static + dynamic analysis for one model, uncached:
     /// Table I values from the static analyzer, the executed-instruction
     /// count from the slicing executor, and the plan lowered for `target`
-    /// (which only stamps the module header). The budget's cancellation
-    /// token and step fuel bound the dynamic code analysis, so a
-    /// deadline-driven caller can abandon a DCA that will not finish in
-    /// time. [`analyze_cached`] memoizes this.
+    /// (which only stamps the module header). The budget's deadline and
+    /// step fuel bound the dynamic code analysis, so a deadline-driven
+    /// caller can stop a DCA that will not finish in time. [`analyze_cached`] memoizes this.
     pub fn compute(
         model: &ModelGraph,
         target: &str,

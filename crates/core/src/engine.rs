@@ -6,11 +6,11 @@
 //! within its time slice. Every hazard is contained and *classified*:
 //!
 //! - a wall-clock [`Deadline`] bounds the whole request; each tier gets an
-//!   even share of the remainder, and on expiry its cancellation token is
-//!   tripped so the cooperative loops in `ptx-analysis` and `gpu-sim`
-//!   unwind within their documented check intervals;
-//! - tier work runs on a worker thread under `catch_unwind`, so a panic
-//!   is a recorded tier failure, not an abort;
+//!   even share of the remainder as the fixed deadline of its
+//!   [`ExecBudget`], which the cooperative loops in `ptx-analysis` and
+//!   `gpu-sim` check within their documented intervals;
+//! - tier work runs in the caller's thread under `catch_unwind`, so a
+//!   panic is a recorded tier failure, not an abort;
 //! - a per-tier [`CircuitBreaker`] (logical-tick clock, see
 //!   [`crate::resilience`]) stops routing work to a tier that keeps
 //!   failing, and re-probes it after a cooldown.
@@ -33,9 +33,8 @@ use ptx_analysis::ExecBudget;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Requests entering the engine. The `engine.*` invariants live in
 /// [`crate::invariants::INVARIANTS`].
@@ -156,10 +155,10 @@ impl std::fmt::Display for Tier {
 /// Why one tier failed to serve a request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TierFailure {
-    /// The tier did not answer within its time slice; its cancellation
-    /// token was tripped and the ladder moved on.
+    /// The tier did not answer within its time slice: its budget's
+    /// deadline passed, and the ladder moved on.
     Timeout,
-    /// The tier panicked; the unwind was contained by the worker.
+    /// The tier panicked; the engine contained the unwind.
     Panic(String),
     /// The tier returned an error.
     Error(String),
@@ -298,8 +297,8 @@ pub struct ResilientEngine {
     /// hot-swap slot. Shared across shards (and with the lifecycle
     /// trainer) so a promotion lands everywhere atomically.
     slot: Arc<PredictorSlot>,
-    /// Where live-tier successes publish ground truth for the lifecycle
-    /// trainer; `None` outside a lifecycle-enabled server.
+    /// Where served live-tier answers publish ground truth for the
+    /// lifecycle trainer; `None` outside a lifecycle-enabled server.
     ground_truth: Option<Arc<MeasurementLog>>,
 }
 
@@ -329,7 +328,7 @@ impl ResilientEngine {
         self
     }
 
-    /// Publish live-tier successes (detailed/analytical IPC with the
+    /// Publish served live-tier answers (detailed/analytical IPC with the
     /// paper's feature row) into `log` as ground truth for retraining.
     pub fn set_ground_truth_log(&mut self, log: Arc<MeasurementLog>) {
         self.ground_truth = Some(log);
@@ -400,8 +399,8 @@ impl ResilientEngine {
         let mut attempts: Vec<TierAttempt> = Vec::new();
 
         for (i, &tier) in tiers.iter().enumerate() {
-            // the stale cache is the in-process floor of the ladder: no
-            // worker, no breaker, immune to chaos, effectively instant
+            // the stale cache is the floor of the ladder: no budget, no
+            // breaker, immune to chaos, effectively instant
             if tier == Tier::StaleCache {
                 tier_count(tier, "attempts");
                 ENGINE_CACHE_LOOKUPS.inc();
@@ -453,7 +452,7 @@ impl ResilientEngine {
                 continue;
             }
 
-            let slice = deadline.tier_slice(tiers.len() - i);
+            let budget = ExecBudget::default().with_deadline(deadline.tier_slice(tiers.len() - i));
             let fault = injector.tier_fault(model, device, tier.name());
             // one load pins this request to a single predictor
             // generation, even if a promotion lands mid-flight
@@ -463,30 +462,40 @@ impl ResilientEngine {
             } else {
                 (None, None)
             };
-            let tier_start = std::time::Instant::now();
-            let result = run_tier(
-                tier,
-                model,
-                device,
-                predictor,
-                self.ground_truth.clone(),
-                fault,
-                self.config.chaos.slow_ms,
-                slice,
-            );
+            let tier_start = Instant::now();
+            let work = catch_unwind(AssertUnwindSafe(|| {
+                tier_work(
+                    tier,
+                    model,
+                    device,
+                    predictor.as_deref(),
+                    self.ground_truth.is_some(),
+                    fault,
+                    self.config.chaos.slow_ms,
+                    &budget,
+                )
+            }));
             obs::global()
                 .histogram(&format!("engine.tier.{}.latency_us", tier.name()))
                 .record_duration(tier_start.elapsed());
-            match result {
-                Ok((ipc, latency_ms)) => {
+            // an answer that arrives after the slice is a timeout, whatever
+            // it says
+            let failure = match work {
+                _ if budget.expired() => TierFailure::Timeout,
+                Ok(Ok(answer)) => {
                     let breaker = self.breakers.get_mut(&tier).expect("breaker exists");
                     let state_before = breaker.state();
                     breaker.record(tick, true);
                     note_breaker_transition(tier, state_before, breaker.state());
                     tier_count(tier, "success");
+                    let (ipc, latency_ms) = (answer.ipc, answer.latency_ms);
                     self.cache
                         .insert((model.to_string(), device.to_string()), (ipc, latency_ms));
                     ENGINE_CACHE_STORES.inc();
+                    // a served live-tier answer *is* ground truth
+                    if let (Some(log), Some(truth)) = (&self.ground_truth, answer.truth) {
+                        log.push(truth);
+                    }
                     return self.outcome(
                         model,
                         device,
@@ -498,15 +507,15 @@ impl ResilientEngine {
                         generation,
                     );
                 }
-                Err(failure) => {
-                    let breaker = self.breakers.get_mut(&tier).expect("breaker exists");
-                    let state_before = breaker.state();
-                    breaker.record(tick, false);
-                    note_breaker_transition(tier, state_before, breaker.state());
-                    tier_failure_count(tier, &failure);
-                    attempts.push(TierAttempt { tier, failure });
-                }
-            }
+                Ok(Err(msg)) => TierFailure::Error(msg),
+                Err(payload) => TierFailure::Panic(panic_message(payload.as_ref())),
+            };
+            let breaker = self.breakers.get_mut(&tier).expect("breaker exists");
+            let state_before = breaker.state();
+            breaker.record(tick, false);
+            note_breaker_transition(tier, state_before, breaker.state());
+            tier_failure_count(tier, &failure);
+            attempts.push(TierAttempt { tier, failure });
         }
 
         self.outcome(
@@ -555,62 +564,6 @@ impl ResilientEngine {
     }
 }
 
-/// Run one tier on a worker thread under `catch_unwind`, bounded by
-/// `slice`. On timeout the tier's cancellation token is tripped and the
-/// worker is abandoned — the cooperative cancellation contracts of
-/// `ptx-analysis` ([`ptx_analysis::CANCEL_CHECK_INTERVAL`]) and `gpu-sim`
-/// ([`gpu_sim::SIM_CANCEL_CHECK_EVENTS`]) guarantee it unwinds and exits
-/// shortly after, so abandoned workers cannot pile up.
-#[allow(clippy::too_many_arguments)]
-fn run_tier(
-    tier: Tier,
-    model: &str,
-    device: &str,
-    predictor: Option<Arc<PerformancePredictor>>,
-    ground_truth: Option<Arc<MeasurementLog>>,
-    fault: TierFaultKind,
-    slow_ms: u64,
-    slice: Duration,
-) -> Result<(f64, Option<f64>), TierFailure> {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel();
-    let worker_cancel = cancel.clone();
-    let model = model.to_string();
-    let device = device.to_string();
-    let spawned = std::thread::Builder::new()
-        .name(format!("tier-{}", tier.name()))
-        .spawn(move || {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                tier_work(
-                    tier,
-                    &model,
-                    &device,
-                    predictor.as_deref(),
-                    ground_truth.as_deref(),
-                    fault,
-                    slow_ms,
-                    &worker_cancel,
-                )
-            }));
-            let _ = tx.send(out);
-        });
-    if spawned.is_err() {
-        return Err(TierFailure::Error("worker spawn failed".into()));
-    }
-    match rx.recv_timeout(slice) {
-        Ok(Ok(Ok(value))) => Ok(value),
-        Ok(Ok(Err(msg))) => Err(TierFailure::Error(msg)),
-        Ok(Err(payload)) => Err(TierFailure::Panic(panic_message(payload.as_ref()))),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            cancel.store(true, Ordering::Relaxed);
-            Err(TierFailure::Timeout)
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err(TierFailure::Panic("worker died without reporting".into()))
-        }
-    }
-}
-
 // takes the unboxed dyn reference: coercing `&Box<dyn Any>` here would
 // downcast against the Box itself and always miss
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -623,24 +576,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The actual work of one tier, run on the worker thread. Injected chaos
-/// is acted out here: a `Hang` spins on the cancellation token, a `Panic`
-/// unwinds for real, a `Slow` sleeps (cancellably) before working. Every
-/// tier then reads the model's one analysis, at [`DEFAULT_SM_TARGET`].
+/// A live tier's answer.
+struct TierAnswer {
+    ipc: f64,
+    /// The regressor predicts IPC only.
+    latency_ms: Option<f64>,
+    /// The simulator tiers' answer as ground truth, when a log wants it.
+    truth: Option<Measurement>,
+}
+
+/// The work of one live tier, under `budget`. Injected chaos is acted out
+/// here: a `Hang` waits until the budget expires, a `Panic` unwinds for
+/// real, a `Slow` sleeps for `slow_ms` or until the budget expires before
+/// working. Every tier then reads the model's one analysis, at
+/// [`DEFAULT_SM_TARGET`]. With `publish`, a simulator tier's answer comes
+/// back as a ground-truth [`Measurement`] too.
 #[allow(clippy::too_many_arguments)]
 fn tier_work(
     tier: Tier,
     model: &str,
     device: &str,
     predictor: Option<&PerformancePredictor>,
-    ground_truth: Option<&MeasurementLog>,
+    publish: bool,
     fault: TierFaultKind,
     slow_ms: u64,
-    cancel: &Arc<AtomicBool>,
-) -> Result<(f64, Option<f64>), String> {
+    budget: &ExecBudget,
+) -> Result<TierAnswer, String> {
     match fault {
         TierFaultKind::Hang => {
-            while !cancel.load(Ordering::Relaxed) {
+            while !budget.expired() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             return Err("injected hang, cancelled by deadline".into());
@@ -648,7 +612,7 @@ fn tier_work(
         TierFaultKind::Panic => panic!("chaos: injected panic in {} tier", tier.name()),
         TierFaultKind::Slow => {
             for _ in 0..slow_ms {
-                if cancel.load(Ordering::Relaxed) {
+                if budget.expired() {
                     return Err("injected slowdown, cancelled by deadline".into());
                 }
                 std::thread::sleep(Duration::from_millis(1));
@@ -666,10 +630,13 @@ fn tier_work(
         Tier::Detailed | Tier::Analytical => None,
         Tier::StaleCache => unreachable!("stale cache is served inline by the engine"),
     };
-    let budget = ExecBudget::default().with_cancel(cancel.clone());
-    let analyzed = analyze_cached(&graph, DEFAULT_SM_TARGET, &budget).map_err(|e| e.to_string())?;
+    let analyzed = analyze_cached(&graph, DEFAULT_SM_TARGET, budget).map_err(|e| e.to_string())?;
     if let Some(predictor) = predictor {
-        return Ok((predictor.predict(&analyzed.profile, &dev), None));
+        return Ok(TierAnswer {
+            ipc: predictor.predict(&analyzed.profile, &dev),
+            latency_ms: None,
+            truth: None,
+        });
     }
     let mode = if tier == Tier::Detailed {
         SimMode::Detailed
@@ -677,20 +644,21 @@ fn tier_work(
         SimMode::Analytical
     };
     let report = Simulator::new(dev.clone(), mode)
-        .simulate_plan(&analyzed.plan, &analyzed.counts, &budget)
+        .simulate_plan(&analyzed.plan, &analyzed.counts, budget)
         .map_err(|e| e.to_string())?;
-    // a live-tier success *is* ground truth: publish it with the same
-    // feature row the regressor tier predicts from, so the lifecycle
-    // trainer journals exactly what predict consumes
-    if let Some(log) = ground_truth {
-        log.push(Measurement {
-            model: model.to_string(),
-            device: device.to_string(),
-            row: feature_row(&analyzed.profile, &dev),
-            ipc: report.ipc,
-        });
-    }
-    Ok((report.ipc, Some(report.latency_ms)))
+    // the same feature row the regressor tier predicts from, so the
+    // lifecycle trainer journals exactly what predict consumes
+    let truth = publish.then(|| Measurement {
+        model: model.to_string(),
+        device: device.to_string(),
+        row: feature_row(&analyzed.profile, &dev),
+        ipc: report.ipc,
+    });
+    Ok(TierAnswer {
+        ipc: report.ipc,
+        latency_ms: Some(report.latency_ms),
+        truth,
+    })
 }
 
 #[cfg(test)]

@@ -71,8 +71,6 @@ pub const INVARIANTS: &[&str] = &[
     "vfs.sync_file + vfs.sync_dir <= vfs.ops",
     // scrub never repairs more than it found
     "scrub.repaired <= scrub.findings",
-    // the watchdog only fires tokens of cells it first declared stale
-    "supervise.cancelled <= supervise.stale_cells",
     // server admission: every request is admitted, shed, or rejected while
     // draining — same determinism contract as the engine.* counters
     "server.requests: server.admitted + server.shed + server.rejected.draining == server.requests",
@@ -203,7 +201,6 @@ mod tests {
         "vfs.injected=1 | vfs.ops=1",
         "vfs.ops=1 vfs.sync_file=1 vfs.sync_dir=1 | vfs.ops=2",
         "scrub.findings=1 scrub.repaired=2 | scrub.findings=2",
-        "supervise.cancelled=1 | supervise.stale_cells=1",
         "server.requests=2 server.admitted=1 | server.rejected.draining=1",
         "server.requests=1 server.shed=1 server.shed.batch=2 | server.shed.batch=1",
         "server.requests=1 server.coalesced=1 | server.admitted=1",

@@ -66,7 +66,7 @@ static JOURNAL_DEGRADED: obs::LazyCounter = obs::LazyCounter::new("journal.degra
 
 /// Bump when any journaled record changes shape; a resumed build refuses
 /// journals written under a different schema.
-pub const JOURNAL_SCHEMA: u32 = 1;
+pub const JOURNAL_SCHEMA: u32 = 2;
 
 /// Records per segment file before rotating to the next one.
 pub const SEGMENT_RECORDS: u32 = 128;
@@ -101,9 +101,11 @@ pub struct BuildMeta {
 pub enum CellOutcome {
     Profile(RobustProfile),
     Fault {
-        /// True when the cell was cancelled by the supervision watchdog.
+        /// True when the cell was cancelled because its silence limit
+        /// passed.
         timeout: bool,
-        /// Milliseconds of silence before cancellation (0 if not a timeout).
+        /// Milliseconds from the cell's start to its cancellation (0 if
+        /// not a timeout).
         waited_ms: u64,
         error: String,
     },

@@ -41,7 +41,6 @@ pub mod report;
 pub mod resilience;
 pub mod scrub;
 pub mod server;
-pub mod supervise;
 pub mod vfs;
 
 pub use analysis_cache::{
@@ -81,7 +80,6 @@ pub use server::{
     default_sigpipe, DrainController, DrainReport, DrainState, QosClass, QosPolicy, Scheduler,
     ServeError, Server, ServerConfig, SessionEnd, SubmitError,
 };
-pub use supervise::{CellGuard, SuperviseConfig, Supervisor};
 pub use vfs::{
     real_fs, CrashStyle, FaultKind, FaultPlan, FaultRule, OpKind, RealFs, SimFs, Vfs, VfsFile,
 };

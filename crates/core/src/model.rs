@@ -13,8 +13,6 @@ pub struct PerformancePredictor {
     pub kind: RegressorKind,
     pub feature_names: Vec<String>,
     model: Model,
-    /// Seconds spent in `fit`.
-    pub train_seconds: f64,
 }
 
 impl PerformancePredictor {
@@ -25,13 +23,10 @@ impl PerformancePredictor {
             feature_names(),
             "dataset feature layout mismatch"
         );
-        let t0 = std::time::Instant::now();
-        let model = kind.fit(dataset, seed);
         Self {
             kind,
             feature_names: dataset.feature_names.clone(),
-            model,
-            train_seconds: t0.elapsed().as_secs_f64(),
+            model: kind.fit(dataset, seed),
         }
     }
 
@@ -76,7 +71,6 @@ impl PerformancePredictor {
 pub struct RegressorComparison {
     pub kind: RegressorKind,
     pub scores: Scores,
-    pub train_seconds: f64,
 }
 
 /// Reproduce the paper's Table II protocol: a single seeded 70/30 split,
@@ -90,7 +84,6 @@ pub fn compare_regressors(dataset: &Dataset, seed: u64) -> Vec<RegressorComparis
             RegressorComparison {
                 kind,
                 scores: p.evaluate(&test),
-                train_seconds: p.train_seconds,
             }
         })
         .collect()

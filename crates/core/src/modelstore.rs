@@ -43,7 +43,7 @@ static PINS: obs::LazyCounter = obs::LazyCounter::new("modelstore.pins");
 static DEMOTIONS: obs::LazyCounter = obs::LazyCounter::new("modelstore.demotions");
 
 /// Bump when the envelope or [`PerformancePredictor`] changes shape.
-pub const SNAPSHOT_SCHEMA: u32 = 1;
+pub const SNAPSHOT_SCHEMA: u32 = 2;
 
 const PIN_FILE: &str = "PINNED";
 
@@ -426,6 +426,23 @@ mod tests {
         let row = vec![1.0; feature_names().len()];
         assert_eq!(p.predict_row(&row), loaded.predict_row(&row));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_same_training_saves_byte_identical_snapshots() {
+        let dirs = [tmpdir("same-a"), tmpdir("same-b")];
+        let bytes: Vec<Vec<u8>> = dirs
+            .iter()
+            .map(|dir| {
+                let (mut store, _) = ModelStore::open(dir).unwrap();
+                store.save(&tiny_predictor(1), 12, "test").unwrap();
+                fs::read(dir.join(snapshot_filename(1))).unwrap()
+            })
+            .collect();
+        assert!(bytes[0] == bytes[1], "a snapshot holds more than its input");
+        for dir in &dirs {
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use crate::analysis_cache::model_content_hash;
 use crate::features::{feature_names, feature_row, CnnProfile, ProfileError};
 use crate::journal::{self, CellOutcome, Journal, Replay};
-use crate::supervise::{CellGuard, Supervisor};
 use cnn_ir::ModelGraph;
 use gpu_sim::{
     profile_robust_budgeted, ChaosInjector, ChaosProfile, DeviceSpec, FaultInjector, FaultProfile,
@@ -27,8 +26,10 @@ use gpu_sim::{
 };
 use mlkit::Dataset;
 use ptx::kernel::LaunchPlan;
+use ptx_analysis::ExecBudget;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 
 /// Corpus builds started.
 static CORPUS_BUILDS: obs::LazyCounter = obs::LazyCounter::new("corpus.builds");
@@ -36,12 +37,16 @@ static CORPUS_BUILDS: obs::LazyCounter = obs::LazyCounter::new("corpus.builds");
 static CORPUS_CELLS_OK: obs::LazyCounter = obs::LazyCounter::new("corpus.cells.ok");
 static CORPUS_CELLS_DEGRADED: obs::LazyCounter = obs::LazyCounter::new("corpus.cells.degraded");
 static CORPUS_CELLS_FAILED: obs::LazyCounter = obs::LazyCounter::new("corpus.cells.failed");
-/// Cells cancelled by the supervision watchdog.
+/// Cells reported timed out.
 static CORPUS_CELLS_TIMEOUT: obs::LazyCounter = obs::LazyCounter::new("corpus.cells.timeout");
 /// Dataset rows emitted by completed builds.
 static CORPUS_ROWS: obs::LazyCounter = obs::LazyCounter::new("corpus.rows");
 /// Wall time of whole corpus builds, in microseconds.
 static CORPUS_BUILD_US: obs::LazyHistogram = obs::LazyHistogram::new("corpus.build_us");
+/// Computed cells cancelled because their silence limit passed.
+static SUPERVISE_CANCELLED: obs::LazyCounter = obs::LazyCounter::new("supervise.cancelled");
+/// Wall time of computed cells under a silence limit, in microseconds.
+static SUPERVISE_CELL_US: obs::LazyHistogram = obs::LazyHistogram::new("supervise.cell_us");
 
 /// Metadata for one dataset row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -147,8 +152,9 @@ pub enum CellStatus {
     },
     /// No usable measurement; the cell is absent from the dataset.
     Failed { error: String },
-    /// The cell went silent and was cancelled by the supervision watchdog
-    /// ([`crate::supervise`]); absent from the dataset like `Failed`.
+    /// The cell went silent past its silence limit
+    /// ([`BuildOptions::cell_timeout`]) and was cancelled; absent from the
+    /// dataset like `Failed`. `waited_ms` counts from the cell's start.
     TimedOut { waited_ms: u64 },
 }
 
@@ -203,7 +209,7 @@ impl CorpusReport {
     }
 
     /// One-line human summary, e.g. `62/64 cells ok, 1 degraded, 1 failed`
-    /// (plus `, N timed out` when the watchdog cancelled any cells).
+    /// (plus `, N timed out` when any cell timed out).
     pub fn summary(&self) -> String {
         let mut s = format!(
             "{}/{} cells ok, {} degraded, {} failed",
@@ -240,7 +246,7 @@ fn cell_of(model: &str, device: &str, rp: &RobustProfile) -> CellReport {
 }
 
 /// Optional build infrastructure for [`build_corpus_robust_with`]: the
-/// cell journal (with its replayed state) and the watchdog supervisor.
+/// cell journal (with its replayed state) and the cells' silence limit.
 /// All default to off, in which case the build behaves exactly like the
 /// plain robust protocol.
 pub struct BuildOptions<'a> {
@@ -248,20 +254,22 @@ pub struct BuildOptions<'a> {
     pub journal: Option<&'a Journal>,
     /// Cells/profiles replayed from the journal: skipped, not recomputed.
     pub replay: Option<&'a Replay>,
-    /// Watchdog supervising every computed cell.
-    pub supervisor: Option<&'a Supervisor>,
+    /// Silence limit of every computed cell: a cell that reaches no check
+    /// point for this long is cancelled and reported
+    /// [`CellStatus::TimedOut`] (`--cell-timeout-ms`).
+    pub cell_timeout: Option<Duration>,
     /// Chaos injected into cell execution (tier name `"cell"`); used by
-    /// the watchdog tests and the CI chaos job.
+    /// the timeout tests and the CI chaos job.
     pub chaos: ChaosProfile,
 }
 
 impl BuildOptions<'_> {
-    /// No journal, no supervision, no chaos.
+    /// No journal, no silence limit, no chaos.
     pub fn none() -> Self {
         BuildOptions {
             journal: None,
             replay: None,
-            supervisor: None,
+            cell_timeout: None,
             chaos: ChaosProfile::none(),
         }
     }
@@ -341,51 +349,57 @@ impl RowOutcome {
     }
 }
 
-/// Execute one (model, device) cell: optional chaos, optional supervision,
-/// robust measurement under the guard's budget. Any failure while the
-/// watchdog has fired this cell's token is reported as a timeout — the
-/// cancellation races the interpreter's own error paths, and the watchdog
-/// verdict is the one the journal must remember.
+/// Execute one (model, device) cell: optional chaos, then robust
+/// measurement under a budget whose sliding deadline is `cell_timeout`.
+/// Any failure after that deadline passed is reported as a timeout — the
+/// deadline races the interpreter's own error paths, and the timeout is
+/// the verdict the journal must remember.
 fn run_cell(
     plan: &LaunchPlan,
     dev: &DeviceSpec,
     cfg: &RobustConfig,
     injector: &FaultInjector,
     chaos: &ChaosInjector,
-    guard: Option<&CellGuard>,
+    cell_timeout: Option<Duration>,
 ) -> Result<RobustProfile, ProfileFault> {
+    let started = Instant::now();
+    let _span = cell_timeout.map(|_| SUPERVISE_CELL_US.span());
+    let budget = cell_timeout.map_or_else(ExecBudget::default, |limit| {
+        ExecBudget::default().with_silence_limit(limit)
+    });
     let timeout_fault = |waited_ms: u64| ProfileFault::Timeout {
         model: plan.model_name.clone(),
         device: dev.name.clone(),
         waited_ms,
     };
+    let cancelled = || {
+        SUPERVISE_CANCELLED.inc();
+        timeout_fault(started.elapsed().as_millis() as u64)
+    };
     match chaos.tier_fault(&plan.model_name, &dev.name, "cell") {
         TierFaultKind::Hang => {
-            // a real hang: no heartbeats, no progress. Supervised builds
-            // sit here until the watchdog fires the token; unsupervised
-            // builds would hang forever, so degrade to an immediate
-            // timeout fault instead.
-            let Some(guard) = guard else {
+            // a real hang: no check points, no progress. Under a silence
+            // limit the cell sits here until the limit passes; without one
+            // it would hang forever, so it degrades to an immediate timeout
+            // fault instead.
+            if cell_timeout.is_none() {
                 return Err(timeout_fault(0));
-            };
-            while !guard.timed_out() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            return Err(timeout_fault(guard.waited_ms()));
+            while !budget.expired() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            return Err(cancelled());
         }
         TierFaultKind::Slow => {
-            std::thread::sleep(std::time::Duration::from_millis(
-                chaos.profile().slow_ms.max(1),
-            ));
+            std::thread::sleep(Duration::from_millis(chaos.profile().slow_ms.max(1)));
         }
         // cell workers contain no unwind boundary; panic chaos is for the
-        // estimation engine's tier workers
+        // estimation engine's tiers
         TierFaultKind::Panic | TierFaultKind::None => {}
     }
-    let budget = guard.map(|g| g.budget()).unwrap_or_default();
     let result = profile_robust_budgeted(plan, dev, cfg.runs, &cfg.retry, injector, &budget);
-    match (&result, guard) {
-        (Err(_), Some(g)) if g.timed_out() => Err(timeout_fault(g.waited_ms())),
+    match result {
+        Err(_) if budget.expired() => Err(cancelled()),
         _ => result,
     }
 }
@@ -407,12 +421,12 @@ pub fn build_corpus_robust(
     build_corpus_robust_with(models, devices, cfg, &BuildOptions::none())
 }
 
-/// [`build_corpus_robust`] with crash-safety and supervision
+/// [`build_corpus_robust`] with crash-safety and a silence limit
 /// ([`BuildOptions`]): journaled cells are appended as each worker
 /// finishes, replayed cells are skipped without recomputation (a fully
-/// journaled model skips even its analysis), and supervised cells that go
-/// silent past the watchdog timeout degrade to [`CellStatus::TimedOut`]
-/// instead of hanging the build.
+/// journaled model skips even its analysis), and cells that go silent past
+/// the limit degrade to [`CellStatus::TimedOut`] instead of hanging the
+/// build.
 pub fn build_corpus_robust_with(
     models: &[ModelGraph],
     devices: &[DeviceSpec],
@@ -475,9 +489,14 @@ pub fn build_corpus_robust_with(
                     ));
                     continue;
                 }
-                let guard = opts.supervisor.map(|s| s.guard());
-                let result = run_cell(&analyzed.plan, dev, cfg, &injector, &chaos, guard.as_ref());
-                drop(guard);
+                let result = run_cell(
+                    &analyzed.plan,
+                    dev,
+                    cfg,
+                    &injector,
+                    &chaos,
+                    opts.cell_timeout,
+                );
                 journal::note_computed();
                 let row = RowOutcome::from_computed(result);
                 if let Some(j) = opts.journal {

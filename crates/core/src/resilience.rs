@@ -30,10 +30,6 @@ impl Deadline {
         }
     }
 
-    pub fn budget(&self) -> Duration {
-        self.budget
-    }
-
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }

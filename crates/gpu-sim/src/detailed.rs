@@ -28,15 +28,15 @@ static SIM_LAUNCHES: obs::LazyCounter = obs::LazyCounter::new("sim.launches");
 static SIM_WAVES: obs::LazyCounter = obs::LazyCounter::new("sim.waves");
 /// Warp-issue events popped by the event-driven wave loop.
 static SIM_EVENTS: obs::LazyCounter = obs::LazyCounter::new("sim.events");
-/// Wave simulations aborted by a tripped cancellation token.
+/// Wave simulations aborted by a passed budget deadline.
 static SIM_CANCELLED: obs::LazyCounter = obs::LazyCounter::new("sim.cancelled");
 /// Launches rejected because zero blocks fit on an SM.
 static SIM_INFEASIBLE: obs::LazyCounter = obs::LazyCounter::new("sim.occupancy.infeasible");
 
 /// Scheduler events between cooperative-cancellation checks in the
 /// event-driven wave loop. This is the detailed simulator's documented
-/// cancellation-latency contract: once the [`ExecBudget`] token trips, the
-/// cycle loop returns [`ExecError::Cancelled`] after at most this many
+/// cancellation-latency contract: once the [`ExecBudget`] deadline passes,
+/// the cycle loop returns [`ExecError::Cancelled`] after at most this many
 /// further warp-issue events (each event is one heap pop — nanoseconds of
 /// host work — so the wall-clock observation latency is microseconds).
 pub const SIM_CANCEL_CHECK_EVENTS: u64 = 4096;
@@ -71,7 +71,7 @@ const TRACE_CAP: usize = 262_144;
 /// Simulate one launch on `dev` in detail. `counts` is the launch's exact
 /// instruction count from the analysis, reported as is; the simulation
 /// itself runs the representative thread's category trace. The budget's
-/// step fuel and cancellation token bound both the representative-thread
+/// step fuel and deadline bound both the representative-thread
 /// execution and — via [`SIM_CANCEL_CHECK_EVENTS`] — the event-driven
 /// cycle loop itself, so a deadline-driven caller can abort a runaway
 /// simulation.
@@ -178,8 +178,8 @@ pub fn simulate_launch(
 }
 
 /// Event-driven simulation of one wave on one SM. Returns cycles. The
-/// budget's cancellation token is polled every [`SIM_CANCEL_CHECK_EVENTS`]
-/// heap pops; its step fuel also caps total events (a hung-wave backstop).
+/// budget's deadline is checked every [`SIM_CANCEL_CHECK_EVENTS`] heap
+/// pops; its step fuel also caps total events (a hung-wave backstop).
 #[allow(clippy::too_many_arguments)]
 fn simulate_wave(
     trace: &[Category],
@@ -221,8 +221,7 @@ fn simulate_wave(
     while let Some(Reverse((ready, w))) = heap.pop() {
         events += 1;
         if events.is_multiple_of(SIM_CANCEL_CHECK_EVENTS) {
-            budget.pulse();
-            if budget.cancelled() {
+            if budget.check() {
                 SIM_EVENTS.add(events);
                 SIM_CANCELLED.inc();
                 return Err(ExecError::Cancelled {
@@ -436,15 +435,12 @@ mod tests {
 
     #[test]
     fn cancelled_simulation_stops_within_bounded_events() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
         // a launch big enough that the wave loop runs far past one check
-        // interval; a pre-tripped token must abort it at the first check
+        // interval; a passed deadline must abort it at the first check
         let dev = gtx_1080_ti();
         let k = guard_kernel(64);
         let l = launch(&k, 1 << 22, vec![1 << 22], 0, 0);
-        let token = Arc::new(AtomicBool::new(true));
-        let budget = ExecBudget::default().with_cancel(token);
+        let budget = ExecBudget::default().with_deadline(std::time::Duration::ZERO);
         match simulate(&k, &l, &dev, &budget) {
             Err(ExecError::Cancelled { step, .. }) => {
                 // observed within the documented bound: the representative
@@ -460,14 +456,12 @@ mod tests {
     }
 
     #[test]
-    fn untripped_budget_matches_unbudgeted_simulation() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+    fn unexpired_deadline_matches_unbudgeted_simulation() {
         let dev = gtx_1080_ti();
         let k = guard_kernel(16);
         let l = launch(&k, 1 << 18, vec![200_000], 1 << 22, 1 << 20);
         let plain = sim(&k, &l, &dev).unwrap();
-        let budget = ExecBudget::default().with_cancel(Arc::new(AtomicBool::new(false)));
+        let budget = ExecBudget::default().with_deadline(std::time::Duration::from_secs(3600));
         let budgeted = simulate(&k, &l, &dev, &budget).unwrap();
         assert_eq!(plain.cycles, budgeted.cycles);
         assert_eq!(plain.warp_instructions, budgeted.warp_instructions);

@@ -223,18 +223,18 @@ impl FaultInjector {
 /// What the chaos model injects into one estimation-tier invocation.
 ///
 /// Unlike [`FaultOutcome`], which the measurement layer *reports*, a tier
-/// fault is *acted out* by the tier worker: a `Hang` really spins until the
-/// deadline's cancellation token fires, a `Panic` really unwinds, and a
-/// `Slow` really sleeps before doing the work. That makes the chaos suite
+/// fault is *acted out* by the tier: a `Hang` really waits until its
+/// budget's deadline passes, a `Panic` really unwinds, and a `Slow` really
+/// sleeps before doing the work. That makes the chaos suite
 /// exercise the engine's deadline and circuit-breaker machinery for real
 /// rather than against simulated flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierFaultKind {
     /// The tier runs normally.
     None,
-    /// The tier wedges and never produces a result on its own; only the
-    /// cancellation token (tripped when the tier's time slice expires)
-    /// gets it off the CPU.
+    /// The tier wedges and never produces a result on its own; only its
+    /// budget's deadline (the end of the tier's time slice) gets it off
+    /// the CPU.
     Hang,
     /// The tier panics mid-flight; the engine must contain the unwind.
     Panic,

@@ -67,8 +67,8 @@ impl Simulator {
     /// Simulate a full launch plan (serialized launches, as in single-stream
     /// inference). `counts` is the plan's count from the analysis, one
     /// entry per launch; the simulator reports those counts and never
-    /// counts a launch itself. The budget's step fuel and cancellation
-    /// token propagate into every per-launch simulation (detailed cycle
+    /// counts a launch itself. The budget's step fuel and deadline
+    /// propagate into every per-launch simulation (detailed cycle
     /// loops included), so a deadline-driven caller can abort the whole
     /// plan cooperatively.
     pub fn simulate_plan(

@@ -48,10 +48,6 @@ pub struct ProfileRecord {
     pub latency_ms: f64,
     pub thread_instructions: u64,
     pub warp_instructions: u64,
-    /// Wall-clock seconds of this run alone. The robust protocol simulates
-    /// once per cell, so its records carry 0 and the cell's time (the `t_p`
-    /// of the paper's Table IV) is [`RobustProfile::profiling_wall_s`].
-    pub profiling_wall_s: f64,
 }
 
 /// FNV-1a over the seed material: deterministic per (model, device, run).
@@ -116,8 +112,8 @@ pub enum ProfileFault {
         device: String,
         detail: String,
     },
-    /// The cell went silent past the supervision timeout and its
-    /// cancellation token was fired by the watchdog (permanent: the same
+    /// The cell reached no check point for longer than its silence limit
+    /// (`--cell-timeout-ms`) and was cancelled (permanent: the same
     /// deterministic work would wedge again).
     Timeout {
         model: String,
@@ -188,7 +184,7 @@ impl fmt::Display for ProfileFault {
                 waited_ms,
             } => write!(
                 f,
-                "cell {model} on {device} cancelled by watchdog after {waited_ms} ms of silence"
+                "cell {model} on {device} cancelled {waited_ms} ms after it started: its silence limit passed"
             ),
             ProfileFault::Replayed { error } => write!(f, "replayed from journal: {error}"),
         }
@@ -356,10 +352,9 @@ impl RobustProfile {
 /// replayed on top of it. A fault-free single run therefore reports the
 /// simulator's IPC times run 0's jitter.
 ///
-/// The budget's cancellation token and heartbeat observer bound and
-/// instrument the counting and the detailed simulation, so a supervising
-/// watchdog can detect a wedged cell and cancel it instead of hanging the
-/// whole corpus build.
+/// The budget's deadline bounds the counting and the detailed simulation,
+/// so a cell that stops reaching check points is cancelled instead of
+/// hanging the whole corpus build.
 ///
 /// Permanent failures ([`ProfileFault::Sim`]) propagate immediately; runs
 /// whose retry budget is exhausted are dropped, and only if *every* run
@@ -425,7 +420,6 @@ pub fn profile_robust_budgeted(
                 latency_ms: report.latency_ms,
                 thread_instructions: report.thread_instructions,
                 warp_instructions: report.warp_instructions,
-                profiling_wall_s: 0.0,
             });
             measured = true;
             break;

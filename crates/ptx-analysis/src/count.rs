@@ -172,8 +172,8 @@ pub fn count_launch(
     )
 }
 
-/// [`count_launch`] with an explicit execution budget (step fuel and
-/// cooperative cancellation, applied to every representative thread) and
+/// [`count_launch`] with an explicit execution budget (step fuel and a
+/// cooperative deadline, applied to every representative thread) and
 /// [`CountMode`]. The kernel is prepared through the process-wide table
 /// (decoded, sliced and compiled once per process), except in
 /// `Bruteforce` mode, the reference, which executes the kernel as given.
@@ -319,10 +319,11 @@ where
 
     while let Some(r) = work.pop() {
         // nested-execution cancellation bound: besides the per-run check
-        // every CANCEL_CHECK_INTERVAL steps, a pending cancel is observed
+        // every CANCEL_CHECK_INTERVAL steps, a passed deadline is observed
         // between rectangles, so the worst-case observation latency stays
-        // one interval regardless of how many representatives run
-        if budget.cancelled() {
+        // one interval regardless of how many representatives run; each
+        // rectangle is progress, so it slides a silence limit
+        if budget.check() {
             return Err(RunErr::Exec(ExecError::Cancelled {
                 kernel: kernel_name.to_string(),
                 step: steps_done,
@@ -617,8 +618,8 @@ pub fn count_plan_report_budgeted(
 }
 
 /// [`count_plan`] with an explicit execution budget and [`CountMode`]. A
-/// shared cancellation token in the budget aborts all parallel launch
-/// counts cooperatively. Each referenced kernel comes from the
+/// deadline in the budget, shared by its clones, aborts all parallel
+/// launch counts cooperatively. Each referenced kernel comes from the
 /// process-wide table of prepared kernels, so it is decoded, sliced and
 /// poly-compiled at most once per process.
 pub fn count_plan_mode_budgeted(

@@ -35,8 +35,8 @@ use ptx::kernel::Kernel;
 use ptx::types::{BinOp, CmpOp, Reg, RegClass, Space, SpecialReg, Type, UnOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Completed representative-thread executions.
 static EXEC_RUNS: obs::LazyCounter = obs::LazyCounter::new("ptx.exec.runs");
@@ -45,48 +45,75 @@ static EXEC_STEPS: obs::LazyCounter = obs::LazyCounter::new("ptx.exec.steps");
 /// Cooperative cancellation checks performed (one per
 /// [`CANCEL_CHECK_INTERVAL`] interpreter steps).
 static EXEC_CANCEL_CHECKS: obs::LazyCounter = obs::LazyCounter::new("ptx.exec.cancel_checks");
-/// Executions actually aborted by a tripped cancellation token.
+/// Executions aborted by a passed budget deadline.
 static EXEC_CANCELLED: obs::LazyCounter = obs::LazyCounter::new("ptx.exec.cancelled");
 /// Kernels decoded into dense programs (once per prepared kernel, not per
 /// representative run).
 static EXEC_DECODES: obs::LazyCounter = obs::LazyCounter::new("ptx.exec.decodes");
 
-/// Steps between cooperative-cancellation checks; amortizes the atomic
-/// load to noise on the interpreter hot loop.
+/// Steps between cooperative-cancellation checks; amortizes the clock
+/// read to noise on the interpreter hot loop.
 ///
-/// This is the executor's cancellation-latency contract: a tripped token
-/// is observed within at most `CANCEL_CHECK_INTERVAL` interpreter steps of
-/// any single representative-thread execution. The check also fires at
-/// step 0, so in *nested* execution (the counting layer re-running the
-/// machine once per grid rectangle, including slice mode) the bound holds
-/// across representative runs too — a fresh run observes a pending cancel
-/// before executing its first instruction. The dense-program decode did
-/// not change this contract: the check sits on the same per-step loop.
+/// This is the executor's cancellation-latency contract: a passed budget
+/// deadline is observed within at most `CANCEL_CHECK_INTERVAL` interpreter
+/// steps of any single representative-thread execution. The check also
+/// fires at step 0, so in *nested* execution (the counting layer
+/// re-running the machine once per grid rectangle, including slice mode)
+/// the bound holds across representative runs too — a fresh run observes
+/// a passed deadline before executing its first instruction.
 pub const CANCEL_CHECK_INTERVAL: u64 = 8192;
 
-/// Execution budget for the symbolic executor: step fuel plus an optional
-/// cooperative cancellation token shared across threads. Replaces the old
-/// hard-coded step limit, so callers (e.g. a profiling pipeline that wants
-/// to kill hung analyses) can bound the work per representative thread.
-#[derive(Clone, Default)]
+/// Execution budget for the symbolic executor and the simulator: step
+/// fuel plus one optional wall-clock deadline, read at the cooperative
+/// check points (every [`CANCEL_CHECK_INTERVAL`] interpreter steps, every
+/// grid rectangle of the counting layer, every `SIM_CANCEL_CHECK_EVENTS`
+/// simulator events). A passed deadline surfaces as
+/// [`ExecError::Cancelled`]. Clones share the deadline, so every rayon
+/// worker of one analysis stops on the same verdict.
+#[derive(Debug, Clone, Default)]
 pub struct ExecBudget {
     max_steps: Option<u64>,
-    cancel: Option<Arc<AtomicBool>>,
-    /// Liveness observer, invoked at every cancellation check point (every
-    /// [`CANCEL_CHECK_INTERVAL`] steps and at step 0 of each run). A
-    /// supervisor stamps a heartbeat from here, so "observer went silent"
-    /// implies "interpreter stopped making progress".
-    observer: Option<Arc<dyn Fn() + Send + Sync>>,
+    deadline: Option<Arc<Deadline>>,
 }
 
-impl std::fmt::Debug for ExecBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecBudget")
-            .field("max_steps", &self.max_steps)
-            .field("cancel", &self.cancel)
-            .field("observer", &self.observer.as_ref().map(|_| ".."))
-            .finish()
+/// The deadline shared by the clones of one budget.
+#[derive(Debug)]
+struct Deadline {
+    at: Mutex<Instant>,
+    /// A sliding deadline's limit: each check point that finds the
+    /// deadline unexpired moves it to now + the limit.
+    slide: Option<Duration>,
+}
+
+impl Deadline {
+    fn new(after: Duration, slide: Option<Duration>) -> Arc<Self> {
+        Arc::new(Deadline {
+            at: Mutex::new(later(Instant::now(), after)),
+            slide,
+        })
     }
+
+    /// Whether the deadline has passed. With `slide`, an unexpired sliding
+    /// deadline moves to now + its limit. Only an unexpired deadline
+    /// moves, and the clock is monotonic, so once passed it stays passed.
+    fn passed(&self, slide: bool) -> bool {
+        // every write stores a whole `Instant`, so a poisoned guard is valid
+        let mut at = self.at.lock().unwrap_or_else(|e| e.into_inner());
+        let now = Instant::now();
+        if now >= *at {
+            return true;
+        }
+        if let (true, Some(limit)) = (slide, self.slide) {
+            *at = later(now, limit);
+        }
+        false
+    }
+}
+
+/// `now + d`, saturating 2^32 s (136 years) ahead.
+fn later(now: Instant, d: Duration) -> Instant {
+    now.checked_add(d)
+        .unwrap_or(now + Duration::from_secs(u32::MAX.into()))
 }
 
 impl ExecBudget {
@@ -99,11 +126,17 @@ impl ExecBudget {
         self
     }
 
-    /// Attach a cancellation token. Setting it to `true` makes every
-    /// in-flight execution return [`ExecError::Cancelled`] at the next
-    /// check point.
-    pub fn with_cancel(mut self, token: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(token);
+    /// A fixed deadline `after` from now: an engine tier's time slice.
+    pub fn with_deadline(mut self, after: Duration) -> Self {
+        self.deadline = Some(Deadline::new(after, None));
+        self
+    }
+
+    /// A sliding deadline: it passes once `limit` goes by without a check
+    /// point, because each check point that finds it unexpired moves it to
+    /// now + `limit`. A corpus cell's `--cell-timeout-ms`.
+    pub fn with_silence_limit(mut self, limit: Duration) -> Self {
+        self.deadline = Some(Deadline::new(limit, Some(limit)));
         self
     }
 
@@ -111,28 +144,18 @@ impl ExecBudget {
         self.max_steps.unwrap_or(Self::DEFAULT_MAX_STEPS)
     }
 
-    pub fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    /// Attach a liveness observer called at every cancellation check
-    /// point. Used by `core::supervise` to stamp per-cell heartbeats.
-    pub fn with_observer(mut self, observer: Arc<dyn Fn() + Send + Sync>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Invoke the liveness observer, if any. Called from the same sites
-    /// (and at the same cadence) as [`Self::cancelled`] checks, so the
-    /// cancellation-latency contract doubles as a heartbeat-cadence
-    /// contract.
+    /// The check point: whether the deadline has passed, sliding it if it
+    /// has not. Once passed it stays passed. Without a deadline this is
+    /// one `Option` test.
     #[inline]
-    pub fn pulse(&self) {
-        if let Some(obs) = &self.observer {
-            obs();
-        }
+    pub fn check(&self) -> bool {
+        self.deadline.as_ref().is_some_and(|d| d.passed(true))
+    }
+
+    /// Whether the deadline has passed, without sliding it: the poll of a
+    /// loop that waits instead of making progress.
+    pub fn expired(&self) -> bool {
+        self.deadline.as_ref().is_some_and(|d| d.passed(false))
     }
 }
 
@@ -204,8 +227,8 @@ pub enum ExecError {
     StepLimit { limit: u64, kernel: String },
     /// Grid-splitting budget exhausted while counting the named kernel.
     SplitBudget { limit: u64, kernel: String },
-    /// Execution cancelled via the [`ExecBudget`] cancellation token.
-    /// `step` reports where the cancel landed: the interpreter step count
+    /// Execution stopped by a passed [`ExecBudget`] deadline. `step`
+    /// reports where the cancel landed: the interpreter step count
     /// of the representative execution (or, from the counting layer, the
     /// accumulated steps across all representative runs of the launch).
     Cancelled { kernel: String, step: u64 },
@@ -648,7 +671,7 @@ impl Machine {
         self
     }
 
-    /// Replace the execution budget (fuel and/or cancellation token).
+    /// Replace the execution budget (fuel and/or deadline).
     pub fn with_budget(mut self, budget: ExecBudget) -> Self {
         self.budget = budget;
         self
@@ -716,8 +739,7 @@ impl Machine {
             }
             if count.is_multiple_of(CANCEL_CHECK_INTERVAL) {
                 EXEC_CANCEL_CHECKS.inc();
-                self.budget.pulse();
-                if self.budget.cancelled() {
+                if self.budget.check() {
                     EXEC_CANCELLED.inc();
                     return Err(ExecError::Cancelled {
                         kernel: self.program.kernel_name.clone(),
@@ -1364,31 +1386,28 @@ mod tests {
         assert_eq!(o.count, 5);
     }
 
-    #[test]
-    fn step_limit_catches_runaway() {
-        // while(true) loop
-        let mut kb = KernelBuilder::new("k", 32);
+    /// A `while(true)` loop.
+    fn spin_kernel(name: &str) -> Kernel {
+        let mut kb = KernelBuilder::new(name, 32);
         let head = kb.label();
         kb.place_label(head);
         let r = kb.r();
         kb.mov(Type::U32, r, Operand::ImmI(1));
         kb.bra_uni(head);
-        let k = kb.finish();
-        let mut m = Machine::new(&k, 1, &[]);
+        kb.finish()
+    }
+
+    #[test]
+    fn step_limit_catches_runaway() {
+        let mut m = Machine::new(&spin_kernel("k"), 1, &[]);
         m.set_max_steps(1000);
         assert!(matches!(m.run(0, 0), Err(ExecError::StepLimit { .. })));
     }
 
     #[test]
     fn step_limit_error_names_the_kernel() {
-        let mut kb = KernelBuilder::new("runaway_kernel", 32);
-        let head = kb.label();
-        kb.place_label(head);
-        let r = kb.r();
-        kb.mov(Type::U32, r, Operand::ImmI(1));
-        kb.bra_uni(head);
-        let k = kb.finish();
-        let m = Machine::new(&k, 1, &[]).with_budget(ExecBudget::default().with_max_steps(500));
+        let m = Machine::new(&spin_kernel("runaway_kernel"), 1, &[])
+            .with_budget(ExecBudget::default().with_max_steps(500));
         match m.run(0, 0) {
             Err(ExecError::StepLimit { limit, kernel }) => {
                 assert_eq!(limit, 500);
@@ -1399,16 +1418,10 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_token_aborts_execution() {
-        let mut kb = KernelBuilder::new("spin", 32);
-        let head = kb.label();
-        kb.place_label(head);
-        let r = kb.r();
-        kb.mov(Type::U32, r, Operand::ImmI(1));
-        kb.bra_uni(head);
-        let k = kb.finish();
-        let token = Arc::new(AtomicBool::new(true)); // pre-cancelled
-        let m = Machine::new(&k, 1, &[]).with_budget(ExecBudget::default().with_cancel(token));
+    fn passed_deadline_aborts_execution() {
+        let k = spin_kernel("spin");
+        let budget = ExecBudget::default().with_deadline(Duration::ZERO);
+        let m = Machine::new(&k, 1, &[]).with_budget(budget);
         assert!(matches!(
             m.run(0, 0),
             Err(ExecError::Cancelled { kernel, step: 0 }) if kernel == "spin"
@@ -1416,26 +1429,12 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_observed_within_documented_interval() {
-        // cancel mid-flight: trip the token from another thread and check
-        // the reported step is a multiple of the documented interval
-        let mut kb = KernelBuilder::new("spin2", 32);
-        let head = kb.label();
-        kb.place_label(head);
-        let r = kb.r();
-        kb.mov(Type::U32, r, Operand::ImmI(1));
-        kb.bra_uni(head);
-        let k = kb.finish();
-        let token = Arc::new(AtomicBool::new(false));
-        let m = Machine::new(&k, 1, &[])
-            .with_budget(ExecBudget::default().with_cancel(Arc::clone(&token)));
-        let t = {
-            let token = Arc::clone(&token);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                token.store(true, Ordering::Relaxed);
-            })
-        };
+    fn deadline_observed_within_documented_interval() {
+        // the deadline passes mid-flight: the reported step is a multiple
+        // of the documented interval
+        let k = spin_kernel("spin2");
+        let budget = ExecBudget::default().with_deadline(Duration::from_millis(20));
+        let m = Machine::new(&k, 1, &[]).with_budget(budget);
         match m.run(0, 0) {
             Err(ExecError::Cancelled { kernel, step }) => {
                 assert_eq!(kernel, "spin2");
@@ -1443,20 +1442,43 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
-        t.join().unwrap();
     }
 
     #[test]
-    fn untripped_token_does_not_disturb_execution() {
+    fn unexpired_deadline_does_not_disturb_execution() {
         let k = guard_kernel();
-        let token = Arc::new(AtomicBool::new(false));
-        let budgeted =
-            Machine::new(&k, 4, &[700]).with_budget(ExecBudget::default().with_cancel(token));
+        let budget = ExecBudget::default().with_deadline(Duration::from_secs(3600));
+        let budgeted = Machine::new(&k, 4, &[700]).with_budget(budget);
         let plain = Machine::new(&k, 4, &[700]);
         assert_eq!(
             budgeted.run(0, 0).unwrap().count,
             plain.run(0, 0).unwrap().count
         );
+    }
+
+    #[test]
+    fn check_points_slide_a_silence_limit_and_a_passed_one_stays_passed() {
+        let budget = ExecBudget::default().with_silence_limit(Duration::from_millis(200));
+        let other_worker = budget.clone();
+        // progress every 10 ms outlives the limit
+        for _ in 0..30 {
+            std::thread::sleep(Duration::from_millis(10));
+            assert!(!budget.check(), "a cell making progress was stopped");
+        }
+        // a fixed deadline does not slide
+        let fixed = ExecBudget::default().with_deadline(Duration::from_millis(50));
+        for _ in 0..8 {
+            std::thread::sleep(Duration::from_millis(10));
+            fixed.check();
+        }
+        assert!(fixed.expired());
+        // silence: waiting loops poll without sliding
+        while !budget.expired() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(other_worker.check(), "the clones share one deadline");
+        assert!(budget.check(), "a check point must not revive it");
+        assert!(!ExecBudget::default().check() && !ExecBudget::default().expired());
     }
 
     #[test]

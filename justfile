@@ -19,10 +19,22 @@ test:
 
 # Fault/chaos acceptance suites. Seeds are fixed in the test sources, so a
 # pass is reproducible byte-for-byte; `timeout` is the last-resort watchdog
-# should the deadline machinery itself wedge.
+# should the deadline machinery itself wedge. Then the hang drill: three of
+# four cells hang, each is cancelled once its 200 ms silence limit passes,
+# and the build still exits 0 with its counter invariants holding.
 chaos:
+    #!/usr/bin/env bash
+    set -euo pipefail
     timeout 600 cargo test -q --test chaos_engine --test fault_tolerance
     timeout 300 cargo test -q -p cnnperf-core --test breaker_props
+    cargo build --release
+    out=target/hang-drill.out
+    timeout 120 target/release/cnnperf corpus --models alexnet,mobilenet \
+        --devices "GTX 1080 Ti,V100S" --chaos hang=0.5,seed=7 --cell-timeout-ms 200 \
+        --stats json > "$out"
+    grep -q ', 3 timed out$' "$out" || { echo "hang drill: expected 3 timed-out cells"; exit 1; }
+    target/release/cnnperf stats-check "$out"
+    echo "chaos OK"
 
 build:
     cargo build --release --workspace
@@ -73,8 +85,8 @@ stats-smoke:
 
 # Kill-resume smoke: SIGKILL a journaled corpus build mid-flight, resume
 # it, and require the resumed canonical corpus to be byte-identical to an
-# uninterrupted build's. `stats-check` gates the journal.* / supervise.*
-# counter invariants on the resumed run's snapshot. Then run the journal
+# uninterrupted build's. `stats-check` gates the journal.* counter
+# invariants on the resumed run's snapshot. Then run the journal
 # suite pinned to one CPU, where the workers journal one after another.
 resume-smoke:
     #!/usr/bin/env bash

@@ -13,8 +13,7 @@
 use cnnperf::prelude::*;
 use cnnperf_core::{
     build_corpus_robust_with, cached_corpus, corpus_cache_path, BuildMeta, BuildOptions, Journal,
-    JournalError, ProfileError, Replay, ScrubOptions, SuperviseConfig, Supervisor,
-    DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    JournalError, ProfileError, Replay, ScrubOptions, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
 };
 use gpu_sim::{estimate_power, ChaosProfile, FaultProfile, SimMode, Simulator};
 use std::collections::BTreeMap;
@@ -22,6 +21,7 @@ use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::time::Duration;
 
 /// Exit-code taxonomy (documented in the README): `0` success, `1`
 /// generic failure, then one code per distinguishable operational
@@ -61,8 +61,8 @@ fn usage() -> ExitCode {
                                          measurement protocol and print its health\n\
                                          report; --journal-dir checkpoints every cell\n\
                                          so --resume skips completed work after a\n\
-                                         crash, --cell-timeout-ms arms the watchdog\n\
-                                         that cancels silent cells, --out writes the\n\
+                                         crash, --cell-timeout-ms cancels cells that\n\
+                                         make no progress for N ms, --out writes the\n\
                                          canonical (wall-clock-free) corpus JSON\n\
            estimate <models> <devices|--all-devices> [--deadline-ms N] [--tiers t1,t2,..]\n\
                     [--chaos none|k=v,..] [--stats json|prom]\n\
@@ -282,8 +282,8 @@ fn regressor(flag: &str) -> Result<RegressorKind, &'static str> {
     })
 }
 
-/// The journal and watchdog a corpus build runs under: `--journal-dir`,
-/// `--resume` and `--cell-timeout-ms`.
+/// The journal and cell silence limit a corpus build runs under:
+/// `--journal-dir`, `--resume` and `--cell-timeout-ms`.
 #[derive(Default)]
 struct Journaling<'a> {
     dir: Option<&'a Path>,
@@ -363,7 +363,7 @@ fn emit_stats(fmt: Option<StatsFormat>) {
 
 /// Load the full paper corpus from the crash-safe cache, or build and
 /// cache it. A build runs under the given journal (checkpointing every
-/// cell) and watchdog, so a killed `rank` warm-up can be resumed instead
+/// cell) and silence limit, so a killed `rank` warm-up can be resumed instead
 /// of restarted. It uses the paper's strict single-run protocol — the
 /// same corpus the cache would have held.
 fn corpus(journaling: &Journaling) -> Result<Corpus, ExitCode> {
@@ -445,12 +445,10 @@ fn build_journaled(
     let journal = (journaling.dir)
         .map(|dir| open_journal_or_exit(dir, cfg, journaling.resume))
         .transpose()?;
-    let supervisor = (journaling.cell_timeout_ms)
-        .map(|ms| Supervisor::start(SuperviseConfig::with_timeout_ms(ms)));
     let opts = BuildOptions {
         journal: journal.as_ref().map(|(j, _)| j),
         replay: journal.as_ref().map(|(_, r)| r),
-        supervisor: supervisor.as_ref(),
+        cell_timeout: journaling.cell_timeout_ms.map(Duration::from_millis),
         chaos,
     };
     Ok(build_corpus_robust_with(models, devices, cfg, &opts))
@@ -658,7 +656,7 @@ fn cmd_corpus(a: &Args) -> Exit {
                         println!("  FAILED {}@{}: {error}", cell.model, cell.device)
                     }
                     CellStatus::TimedOut { waited_ms } => println!(
-                        "  TIMEOUT {}@{}: silent for {waited_ms} ms, cancelled by watchdog",
+                        "  TIMEOUT {}@{}: cancelled {waited_ms} ms after it started, past its silence limit",
                         cell.model, cell.device
                     ),
                 }

@@ -11,8 +11,9 @@
 //! injected delays far from the per-tier slices.
 
 use cnnperf_core::prelude::*;
-use cnnperf_core::{OutcomeKind, TierFailure};
+use cnnperf_core::{MeasurementLog, OutcomeKind, TierFailure};
 use gpu_sim::{ChaosInjector, ChaosProfile, TierFaultKind};
+use std::sync::Arc;
 
 const DEADLINE_MS: u64 = 2500;
 const CHAOS_SEED: u64 = 20260807;
@@ -139,11 +140,13 @@ fn hung_detailed_tier_degrades_to_analytical_within_deadline() {
         seed,
     };
     let seed = seed_with(model, device, Tier::Detailed, Tier::Analytical, profile);
+    let log = Arc::new(MeasurementLog::new(16));
     let mut engine = ResilientEngine::new(EngineConfig {
         tiers: vec![Tier::Detailed, Tier::Analytical],
         chaos: profile(seed),
         ..EngineConfig::default()
     });
+    engine.set_ground_truth_log(Arc::clone(&log));
     let out = engine.estimate(model, device, DEADLINE_MS);
     assert_eq!(
         out.kind,
@@ -153,6 +156,14 @@ fn hung_detailed_tier_degrades_to_analytical_within_deadline() {
         "expected analytical fallback, path {:?}",
         out.attempts
     );
+    // the hung tier publishes nothing; the served answer, one row
+    let rows = log.drain();
+    assert_eq!(rows.len(), 1, "one ground-truth row per served answer");
+    assert_eq!(
+        (rows[0].model.as_str(), rows[0].device.as_str()),
+        (model, device)
+    );
+    assert_eq!(Some(rows[0].ipc), out.ipc);
     assert_eq!(out.attempts.len(), 1);
     assert_eq!(out.attempts[0].tier, Tier::Detailed);
     assert_eq!(out.attempts[0].failure, TierFailure::Timeout);
@@ -165,8 +176,34 @@ fn hung_detailed_tier_degrades_to_analytical_within_deadline() {
 }
 
 #[test]
+fn ground_truth_holds_exactly_the_served_answers() {
+    // a 1 ms slice is shorter than densenet201's analytical simulation:
+    // however the timing splits, a tier classified `timeout` publishes
+    // nothing, and every served answer publishes one row
+    let (model, device) = ("densenet201", "V100S");
+    let log = Arc::new(MeasurementLog::new(1024));
+    let mut engine = ResilientEngine::new(EngineConfig {
+        tiers: vec![Tier::Analytical],
+        ..EngineConfig::default()
+    });
+    engine.set_ground_truth_log(Arc::clone(&log));
+    assert!(engine.estimate(model, device, 60_000).served(), "warm-up");
+    log.drain();
+    let outcomes: Vec<EstimateOutcome> =
+        (0..20).map(|_| engine.estimate(model, device, 1)).collect();
+    // work that outlived its request, if any, has time to publish
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let served = outcomes.iter().filter(|o| o.served()).count();
+    assert_eq!(
+        log.drain().len(),
+        served,
+        "rows published for unserved requests"
+    );
+}
+
+#[test]
 fn injected_panics_are_contained_not_fatal() {
-    // every worker tier panics; the batch must still finish, classified
+    // every live tier panics; the batch must still finish, classified
     let mut engine = ResilientEngine::new(EngineConfig {
         tiers: vec![Tier::Analytical, Tier::StaleCache],
         chaos: ChaosProfile {

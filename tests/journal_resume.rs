@@ -1,21 +1,21 @@
-//! Integration tests for the crash-safe cell journal and the watchdog
-//! supervisor (the ISSUE's acceptance scenarios): a build interrupted
-//! mid-journal and resumed must produce a corpus byte-identical to an
-//! uninterrupted one without recomputing journaled cells; a corrupted
-//! segment tail must be quarantined, not trusted; and a chaos-injected
-//! hanging cell must be cancelled by the watchdog instead of wedging the
-//! build.
+//! Integration tests for the crash-safe cell journal and the cells'
+//! silence limit: a build interrupted mid-journal and resumed must produce
+//! a corpus byte-identical to an uninterrupted one without recomputing
+//! journaled cells; a corrupted segment tail must be quarantined, not
+//! trusted; and a chaos-injected hanging cell must be cancelled once its
+//! silence limit passes instead of wedging the build.
 
 use cnnperf_core::{
     build_corpus_robust_with, BuildMeta, BuildOptions, CellStatus, Journal, JournalRecord, Replay,
-    RobustConfig, SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    RobustConfig, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
 };
 use gpu_sim::{ChaosProfile, DeviceSpec};
 use std::path::PathBuf;
 use std::sync::Mutex;
+use std::time::Duration;
 
-/// The journal/supervise counters are process-global; serialize the tests
-/// that assert on their deltas.
+/// The journal and cell counters are process-global; serialize the tests
+/// that assert on their deltas or bump them.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -66,8 +66,7 @@ fn build_journaled(
     let opts = BuildOptions {
         journal: Some(&journal),
         replay: Some(&replay),
-        supervisor: None,
-        chaos: ChaosProfile::none(),
+        ..BuildOptions::none()
     };
     let (corpus, _report) =
         build_corpus_robust_with(&mini_models(), &one_device(), cfg, &opts).expect("build");
@@ -199,12 +198,10 @@ fn hanging_cell_is_cancelled_by_watchdog() {
         strict: false,
         ..RobustConfig::strict_single_run()
     };
-    let supervisor = Supervisor::start(SuperviseConfig::with_timeout_ms(150));
     let opts = BuildOptions {
-        journal: None,
-        replay: None,
-        supervisor: Some(&supervisor),
+        cell_timeout: Some(Duration::from_millis(150)),
         chaos: ChaosProfile::parse("hang=1.0,seed=7").expect("chaos spec"),
+        ..BuildOptions::none()
     };
     let models = vec![cnn_ir::zoo::build("alexnet").unwrap()];
     let t0 = std::time::Instant::now();
@@ -213,8 +210,8 @@ fn hanging_cell_is_cancelled_by_watchdog() {
         build_corpus_robust_with(&models, &one_device(), &cfg, &opts).expect("build degrades");
     let after = obs::global().snapshot();
     assert!(
-        t0.elapsed() < std::time::Duration::from_secs(30),
-        "watchdog must unwedge the build promptly"
+        t0.elapsed() < Duration::from_secs(30),
+        "the silence limit must unwedge the build promptly"
     );
     assert_eq!(corpus.dataset.len(), 0, "a timed-out cell emits no row");
     assert_eq!(report.timed_out_count(), 1);
@@ -225,13 +222,40 @@ fn hanging_cell_is_cancelled_by_watchdog() {
         .expect("timed-out cell in report");
     match timed_out.status {
         CellStatus::TimedOut { waited_ms } => assert!(
-            waited_ms >= 100,
+            waited_ms >= 150,
             "cancellation cannot precede the timeout (waited {waited_ms} ms)"
         ),
         _ => unreachable!(),
     }
     assert!(
         after.counter_delta(&before, "supervise.cancelled") >= 1,
-        "the watchdog must have fired the cancellation token"
+        "the passed silence limit must have cancelled the cell"
     );
+}
+
+#[test]
+fn cells_making_progress_outlive_a_shorter_silence_limit() {
+    let _guard = lock();
+    // the limit bounds silence, not run time: each check point of the
+    // executor and the simulator moves the deadline
+    let limit = Duration::from_millis(40);
+    let opts = BuildOptions {
+        cell_timeout: Some(limit),
+        ..BuildOptions::none()
+    };
+    let models: Vec<_> = ["vgg16", "resnet152"]
+        .iter()
+        .map(|n| cnn_ir::zoo::build(n).unwrap())
+        .collect();
+    let cfg = RobustConfig::default();
+    let (corpus, report) =
+        build_corpus_robust_with(&models, &one_device(), &cfg, &opts).expect("build");
+    assert_eq!(report.timed_out_count(), 0, "{}", report.summary());
+    let longest = corpus
+        .samples
+        .iter()
+        .map(|s| Duration::from_secs_f64(s.profiling_wall_s))
+        .max()
+        .expect("two cells");
+    assert!(longest > limit, "no cell outran the {limit:?} limit");
 }
