@@ -17,6 +17,10 @@
 //! bounded (LRU over a logical access stamp) and only successful analyses
 //! are stored; failures propagate uncached.
 //!
+//! The engine names its models, so it finds a zoo model's analysis by
+//! name: the cache memoizes each zoo name's content hash, and a warm
+//! request neither builds nor hashes the graph.
+//!
 //! Traffic is observable via the `analysis.cache.{lookups,hits,misses,
 //! evictions}` counters; their invariants live in
 //! [`crate::invariants::INVARIANTS`]. The analysis itself runs *outside*
@@ -105,6 +109,13 @@ struct Entry {
 #[derive(Default)]
 struct Inner {
     map: HashMap<(u64, String), Entry>,
+    /// Zoo model name, ASCII-lowercased -> content hash, so a request that
+    /// names a zoo model finds its analysis without building or hashing
+    /// the graph. `build_any` matches names case-insensitively and its 45
+    /// names stay distinct when lowercased, and only names it resolves are
+    /// stored, so this holds at most 45 entries. A zoo builder is a pure
+    /// function of its name, so an entry never goes stale.
+    zoo_hashes: HashMap<String, u64>,
     tick: u64,
 }
 
@@ -136,7 +147,66 @@ pub fn analyze_cached(
     target: &str,
     budget: &ExecBudget,
 ) -> Result<Arc<AnalyzedModel>, ProfileError> {
-    let key = (model_content_hash(model), target.to_string());
+    lookup_or_compute(model_content_hash(model), target, || {
+        AnalyzedModel::compute(model, target, budget)
+    })
+}
+
+/// A zoo model named by a request, resolved by [`resolve_zoo`]: its
+/// content hash, and its graph when resolving it had to build one.
+pub(crate) struct ZooModel<'a> {
+    name: &'a str,
+    hash: u64,
+    graph: Option<ModelGraph>,
+}
+
+/// Resolve `name` as `cnn_ir::zoo::build_any` does, without building the
+/// graph once its content hash is known. `None` for a name `build_any`
+/// does not resolve; such a name is never stored.
+pub(crate) fn resolve_zoo(name: &str) -> Option<ZooModel<'_>> {
+    let key = name.to_ascii_lowercase();
+    if let Some(&hash) = lock().zoo_hashes.get(&key) {
+        return Some(ZooModel {
+            name,
+            hash,
+            graph: None,
+        });
+    }
+    let graph = cnn_ir::zoo::build_any(name)?;
+    let hash = model_content_hash(&graph);
+    lock().zoo_hashes.insert(key, hash);
+    Some(ZooModel {
+        name,
+        hash,
+        graph: Some(graph),
+    })
+}
+
+/// The one analysis of a resolved zoo model, at [`DEFAULT_SM_TARGET`]:
+/// what [`profile_model_cached`] returns for its graph. Only a miss builds
+/// the graph (unless [`resolve_zoo`] just did) and analyzes it under
+/// `budget`.
+pub(crate) fn analyze_zoo(
+    zoo: ZooModel<'_>,
+    budget: &ExecBudget,
+) -> Result<Arc<AnalyzedModel>, ProfileError> {
+    let ZooModel { name, hash, graph } = zoo;
+    lookup_or_compute(hash, DEFAULT_SM_TARGET, || {
+        let graph = graph
+            .unwrap_or_else(|| cnn_ir::zoo::build_any(name).expect("a resolved zoo name builds"));
+        AnalyzedModel::compute(&graph, DEFAULT_SM_TARGET, budget)
+    })
+}
+
+/// The cache behind both entry points: one lookup of `(hash, target)`; on
+/// a miss, `compute` runs outside the lock and only its success is stored,
+/// evicting the least recently used entry at capacity.
+fn lookup_or_compute(
+    hash: u64,
+    target: &str,
+    compute: impl FnOnce() -> Result<AnalyzedModel, ProfileError>,
+) -> Result<Arc<AnalyzedModel>, ProfileError> {
+    let key = (hash, target.to_string());
     CACHE_LOOKUPS.inc();
     {
         let mut inner = lock();
@@ -149,7 +219,7 @@ pub fn analyze_cached(
         }
     }
     CACHE_MISSES.inc();
-    let value = Arc::new(AnalyzedModel::compute(model, target, budget)?);
+    let value = Arc::new(compute()?);
 
     let mut inner = lock();
     inner.tick += 1;
@@ -187,13 +257,15 @@ pub fn cache_stats() -> (usize, usize) {
     (lock().map.len(), ANALYSIS_CACHE_CAPACITY)
 }
 
-/// Drop every cached analysis (test isolation; traffic counters are not
-/// reset, preserving the `hits + misses == lookups` invariant). Kernels
-/// prepared for counting stay in ptx-analysis' table, so the next analysis
-/// measures a model new to a warm process; `clear_kernel_table` empties
-/// that too.
+/// Drop every cached analysis and every memoized zoo hash, so the next
+/// request is fully cold (test isolation; traffic counters are not reset,
+/// preserving the `hits + misses == lookups` invariant). Kernels prepared
+/// for counting stay in ptx-analysis' table, so the next analysis measures
+/// a model new to a warm process; `clear_kernel_table` empties that too.
 pub fn clear_analysis_cache() {
-    lock().map.clear();
+    let mut inner = lock();
+    inner.map.clear();
+    inner.zoo_hashes.clear();
 }
 
 #[cfg(test)]
@@ -262,5 +334,22 @@ mod tests {
         let a = profile_model_cached(&model).unwrap();
         let b = profile_model_cached(&model).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
+    }
+
+    #[test]
+    fn a_zoo_name_finds_the_models_one_analysis() {
+        let by_name = |name| {
+            let zoo = resolve_zoo(name).expect("a zoo name resolves");
+            analyze_zoo(zoo, &ExecBudget::default()).unwrap()
+        };
+        let a = by_name("ResNet50");
+        let b = by_name("resnet50");
+        let c = profile_model_cached(&cnn_ir::zoo::build_any("resnet50").unwrap()).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "names differing in case share the analysis"
+        );
+        assert!(Arc::ptr_eq(&a, &c), "the name finds the graph's analysis");
+        assert!(resolve_zoo("not-a-model").is_none());
     }
 }

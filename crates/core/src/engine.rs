@@ -22,8 +22,8 @@
 //! request returns a classified [`EstimateOutcome`] within deadline + ε,
 //! no matter which tiers hang, panic, or crawl.
 
-use crate::analysis_cache::analyze_cached;
-use crate::features::{feature_row, DEFAULT_SM_TARGET};
+use crate::analysis_cache::{analyze_zoo, resolve_zoo};
+use crate::features::feature_row;
 use crate::lifecycle::{Measurement, MeasurementLog, PredictorSlot};
 use crate::model::PerformancePredictor;
 use crate::pipeline::Corpus;
@@ -589,8 +589,10 @@ struct TierAnswer {
 /// here: a `Hang` waits until the budget expires, a `Panic` unwinds for
 /// real, a `Slow` sleeps for `slow_ms` or until the budget expires before
 /// working. Every tier then reads the model's one analysis, at
-/// [`DEFAULT_SM_TARGET`]. With `publish`, a simulator tier's answer comes
-/// back as a ground-truth [`Measurement`] too.
+/// [`crate::DEFAULT_SM_TARGET`], found by the model's name: a warm request
+/// neither builds nor hashes the graph. The checks run in a fixed order:
+/// device, model, predictor, analysis. With `publish`, a simulator tier's
+/// answer comes back as a ground-truth [`Measurement`] too.
 #[allow(clippy::too_many_arguments)]
 fn tier_work(
     tier: Tier,
@@ -623,14 +625,14 @@ fn tier_work(
 
     let dev =
         gpu_sim::device_by_name(device).ok_or_else(|| format!("unknown device `{device}`"))?;
-    let graph = cnn_ir::zoo::build_any(model).ok_or_else(|| format!("unknown model `{model}`"))?;
+    let zoo = resolve_zoo(model).ok_or_else(|| format!("unknown model `{model}`"))?;
     // checked before the analysis, so an unattached regressor fails fast
     let predictor = match tier {
         Tier::Regressor => Some(predictor.ok_or("no trained predictor attached")?),
         Tier::Detailed | Tier::Analytical => None,
         Tier::StaleCache => unreachable!("stale cache is served inline by the engine"),
     };
-    let analyzed = analyze_cached(&graph, DEFAULT_SM_TARGET, budget).map_err(|e| e.to_string())?;
+    let analyzed = analyze_zoo(zoo, budget).map_err(|e| e.to_string())?;
     if let Some(predictor) = predictor {
         return Ok(TierAnswer {
             ipc: predictor.predict(&analyzed.profile, &dev),
@@ -720,6 +722,21 @@ mod tests {
             matches!(&out.attempts[0].failure, TierFailure::Error(m) if m.contains("unknown model"))
         );
         assert_eq!(out.attempts[1].failure, TierFailure::CacheMiss);
+    }
+
+    #[test]
+    fn unknown_model_is_reported_before_a_missing_predictor() {
+        let mut engine = ResilientEngine::new(EngineConfig {
+            tiers: vec![Tier::Regressor],
+            ..EngineConfig::default()
+        });
+        let out = engine.estimate("not-a-model", "V100S", 10_000);
+        assert_eq!(out.kind, OutcomeKind::Exhausted);
+        assert!(
+            matches!(&out.attempts[..], [TierAttempt { failure: TierFailure::Error(m), .. }] if m.contains("unknown model")),
+            "path: {:?}",
+            out.attempts
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Cycles are the maximum of the issue, compute-pipe, memory-bandwidth and
 //! latency bounds.
 
-use crate::occupancy::occupancy;
+use crate::occupancy::{occupancy, Occupancy};
 use crate::specs::DeviceSpec;
-use crate::timing::{l2_hit_rate, timing_for};
+use crate::timing::{l2_hit_rate, timing_for, Timing};
 use ptx::inst::Category;
 use ptx::kernel::{Kernel, KernelLaunch};
 use ptx_analysis::{ExecError, LaunchCount};
@@ -60,8 +60,24 @@ pub fn estimate_launch_prec(
         timing.cpi[idx(Category::FloatAlu)] = timing.fp16_alu_cpi;
         timing.cpi[idx(Category::FloatFma)] = timing.fp16_alu_cpi;
     }
-    let byte_scale = precision.bytes_per_element() / 4.0;
     let occ = occupancy(kernel, dev);
+    launch_cycles(kernel, launch, counts, dev, &timing, &occ, precision)
+}
+
+/// The closed-form cycles of one launch, given the device's timing tables
+/// and the kernel's occupancy on it. [`estimate_launch_prec`] computes
+/// both per call; the analytical plan loop computes the timing once per
+/// plan and each kernel's occupancy once per plan.
+pub(crate) fn launch_cycles(
+    kernel: &Kernel,
+    launch: &KernelLaunch,
+    counts: &LaunchCount,
+    dev: &DeviceSpec,
+    timing: &Timing,
+    occ: &Occupancy,
+    precision: Precision,
+) -> Result<f64, ExecError> {
+    let byte_scale = precision.bytes_per_element() / 4.0;
     if !occ.feasible() {
         return Err(ExecError::Unlaunchable {
             kernel: kernel.name.clone(),

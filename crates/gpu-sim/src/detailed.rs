@@ -41,6 +41,14 @@ static SIM_INFEASIBLE: obs::LazyCounter = obs::LazyCounter::new("sim.occupancy.i
 /// host work — so the wall-clock observation latency is microseconds).
 pub const SIM_CANCEL_CHECK_EVENTS: u64 = 4096;
 
+/// Launches between cooperative-cancellation checks in the analytical arm
+/// of [`crate::Simulator::simulate_plan`]: it checks before launch 0 and
+/// then every this many launches. A check locks the deadline and reads the
+/// clock, which costs more than a launch's closed-form arithmetic; one
+/// check per 64 launches costs nothing measurable, and a passed deadline
+/// is seen within 64 launches (microseconds of host work).
+pub const ANALYTICAL_CANCEL_CHECK_LAUNCHES: u64 = 64;
+
 /// Detailed-simulation result for one launch.
 #[derive(Debug, Clone)]
 pub struct LaunchSim {
@@ -453,6 +461,38 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn passed_deadline_cancels_the_analytical_arm_before_its_first_launch() {
+        // more launches than one check interval, so the plan has several
+        // check points; a zero deadline is seen at the first, before
+        // launch 0, and an unexpired one changes nothing
+        let k = guard_kernel(16);
+        let mut module = ptx::kernel::Module::new("sm_61");
+        module.kernels.push(k.clone());
+        let plan = ptx::kernel::LaunchPlan {
+            model_name: "plan".into(),
+            module,
+            launches: (0..3 * ANALYTICAL_CANCEL_CHECK_LAUNCHES)
+                .map(|i| launch(&k, (i + 1) << 10, vec![(i + 1) << 10], 1 << 16, 1 << 12))
+                .collect(),
+        };
+        let counts = ptx_analysis::count_plan(&plan, true).unwrap();
+        let sim = crate::Simulator::new(gtx_1080_ti(), crate::SimMode::Analytical);
+        let run = |budget: ExecBudget| sim.simulate_plan(&plan, &counts, &budget);
+        match run(ExecBudget::default().with_deadline(std::time::Duration::ZERO)) {
+            Err(ExecError::Cancelled { kernel, step }) => {
+                assert_eq!((kernel.as_str(), step), ("k", 0));
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        let plain = run(ExecBudget::default()).unwrap();
+        let budgeted =
+            run(ExecBudget::default().with_deadline(std::time::Duration::from_secs(3600))).unwrap();
+        assert_eq!(plain.cycles.to_bits(), budgeted.cycles.to_bits());
+        assert_eq!(plain.ipc.to_bits(), budgeted.ipc.to_bits());
+        assert_eq!(plain.warp_instructions, budgeted.warp_instructions);
     }
 
     #[test]

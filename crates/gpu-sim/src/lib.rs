@@ -41,7 +41,7 @@ pub mod specs;
 pub mod timing;
 
 pub use analytical::{estimate_launch_prec, Precision};
-pub use detailed::{simulate_launch, SIM_CANCEL_CHECK_EVENTS};
+pub use detailed::{simulate_launch, ANALYTICAL_CANCEL_CHECK_LAUNCHES, SIM_CANCEL_CHECK_EVENTS};
 pub use faults::{
     ChaosInjector, ChaosProfile, FaultInjector, FaultOutcome, FaultProfile, TierFaultKind,
 };

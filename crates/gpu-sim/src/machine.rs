@@ -1,8 +1,11 @@
 //! Whole-plan simulation: run every launch of a [`LaunchPlan`] on a device
 //! and aggregate cycles, instruction counts and the headline IPC metric.
 
-use crate::detailed::{simulate_launch, LaunchSim};
+use crate::analytical::{launch_cycles, Precision};
+use crate::detailed::{simulate_launch, LaunchSim, ANALYTICAL_CANCEL_CHECK_LAUNCHES};
+use crate::occupancy::{occupancy, Occupancy};
 use crate::specs::DeviceSpec;
+use crate::timing::{l2_hit_rate, timing_for};
 use ptx::kernel::{KernelLaunch, LaunchPlan};
 use ptx_analysis::{ExecBudget, ExecError, PlanCount, PreparedKernel};
 use rayon::prelude::*;
@@ -96,19 +99,7 @@ impl Simulator {
                     })
                     .collect::<Result<_, _>>()?
             }
-            SimMode::Analytical => (plan.launches.par_iter().enumerate())
-                .map(|(i, l)| {
-                    let (k, c) = (&plan.module.kernels[l.kernel], &counts.per_launch[i]);
-                    Ok(LaunchSim {
-                        cycles: crate::analytical::estimate_launch(k, l, c, &self.dev)?,
-                        warp_instructions: c.warp_issues,
-                        thread_instructions: c.thread_instructions,
-                        dram_bytes: (l.bytes_read + l.bytes_written) as f64,
-                        l2_hit: crate::timing::l2_hit_rate(l.bytes_read, self.dev.l2_cache_kb),
-                        active_sms: self.dev.sm_count,
-                    })
-                })
-                .collect::<Result<_, _>>()?,
+            SimMode::Analytical => self.run_analytical(plan, counts, budget)?,
         };
 
         let cycles: f64 = sims.iter().map(|s| s.cycles).sum();
@@ -141,6 +132,45 @@ impl Simulator {
             l2_hit,
             num_launches: plan.launches.len(),
         })
+    }
+
+    /// The analytical arm: every launch in closed form, in a plain loop.
+    /// A launch costs a few dozen multiply-adds, far less than the threads
+    /// a parallel iterator would spawn. The device's timing tables are
+    /// built once per plan and each kernel's occupancy is computed once per
+    /// plan, at its first launch. The budget's deadline is checked before
+    /// launch 0 and every [`ANALYTICAL_CANCEL_CHECK_LAUNCHES`] launches
+    /// after; a passed one returns [`ExecError::Cancelled`] naming the
+    /// launch's kernel, with the launch index as `step`.
+    fn run_analytical(
+        &self,
+        plan: &LaunchPlan,
+        counts: &PlanCount,
+        budget: &ExecBudget,
+    ) -> Result<Vec<LaunchSim>, ExecError> {
+        let dev = &self.dev;
+        let timing = timing_for(dev);
+        let mut occupancies: Vec<Option<Occupancy>> = vec![None; plan.module.kernels.len()];
+        let mut sims = Vec::with_capacity(plan.launches.len());
+        for (i, (l, c)) in plan.launches.iter().zip(&counts.per_launch).enumerate() {
+            let k = &plan.module.kernels[l.kernel];
+            if (i as u64).is_multiple_of(ANALYTICAL_CANCEL_CHECK_LAUNCHES) && budget.check() {
+                return Err(ExecError::Cancelled {
+                    kernel: k.name.clone(),
+                    step: i as u64,
+                });
+            }
+            let occ = occupancies[l.kernel].get_or_insert_with(|| occupancy(k, dev));
+            sims.push(LaunchSim {
+                cycles: launch_cycles(k, l, c, dev, &timing, occ, Precision::Fp32)?,
+                warp_instructions: c.warp_issues,
+                thread_instructions: c.thread_instructions,
+                dram_bytes: (l.bytes_read + l.bytes_written) as f64,
+                l2_hit: l2_hit_rate(l.bytes_read, dev.l2_cache_kb),
+                active_sms: dev.sm_count,
+            });
+        }
+        Ok(sims)
     }
 
     /// Detailed simulation memoized by launch shape: kernel, grid, argument

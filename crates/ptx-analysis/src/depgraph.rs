@@ -24,11 +24,13 @@ struct RegSlots {
 impl RegSlots {
     fn build(instrs: &[ptx::inst::Instruction]) -> Self {
         let mut map = HashMap::new();
+        let mut see = |r: Reg| {
+            let next = map.len();
+            map.entry(r).or_insert(next);
+        };
         for i in instrs {
-            for r in i.srcs().into_iter().chain(i.dst()) {
-                let next = map.len();
-                map.entry(r).or_insert(next);
-            }
+            i.for_each_src(&mut see);
+            i.dst().into_iter().for_each(&mut see);
         }
         Self { map }
     }
@@ -96,7 +98,7 @@ impl DepGraph {
         for (reach, block) in reach_in.iter().zip(&cfg.blocks) {
             let mut live: Vec<HashSet<usize>> = reach.clone();
             for &i in block {
-                for src in instrs[i].srcs() {
+                instrs[i].for_each_src(|src| {
                     if let Some(slot) = slots.get(src) {
                         for &d in &live[slot] {
                             if !edges[i].contains(&d) {
@@ -104,7 +106,7 @@ impl DepGraph {
                             }
                         }
                     }
-                }
+                });
                 if let Some(d) = instrs[i].dst() {
                     if let Some(slot) = slots.get(d) {
                         live[slot] = HashSet::from([i]);

@@ -272,50 +272,48 @@ impl Instruction {
         }
     }
 
-    /// Source registers read by this instruction (including the guard and
-    /// address bases).
-    pub fn srcs(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(4);
-        let mut push_op = |o: &Operand| {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
+    /// Call `f` on each source register read by this instruction, in
+    /// operand order: register operands, address bases, a `selp`
+    /// predicate, then the guard. Allocates nothing.
+    pub fn for_each_src(&self, mut f: impl FnMut(Reg)) {
+        fn reg(o: &Operand) -> Option<Reg> {
+            match o {
+                Operand::Reg(r) => Some(*r),
+                _ => None,
             }
-        };
+        }
+        fn base(a: &Address) -> Option<Reg> {
+            match a.base {
+                AddrBase::Reg(r) => Some(r),
+                AddrBase::Param(_) => None,
+            }
+        }
+        let mut see = |r: Option<Reg>| r.into_iter().for_each(&mut f);
         match &self.op {
-            Op::Mov { src, .. } => push_op(src),
-            Op::Ld { addr, .. } => {
-                if let AddrBase::Reg(r) = &addr.base {
-                    out.push(*r);
-                }
-            }
+            Op::Mov { src, .. } | Op::Cvt { src, .. } => see(reg(src)),
+            Op::Ld { addr, .. } => see(base(addr)),
             Op::St { src, addr, .. } => {
-                push_op(src);
-                if let AddrBase::Reg(r) = &addr.base {
-                    out.push(*r);
-                }
+                see(reg(src));
+                see(base(addr));
             }
             Op::Bin { a, b, .. } | Op::Setp { a, b, .. } => {
-                push_op(a);
-                push_op(b);
+                see(reg(a));
+                see(reg(b));
             }
-            Op::Un { a, .. } => push_op(a),
+            Op::Un { a, .. } => see(reg(a)),
             Op::Mad { a, b, c, .. } => {
-                push_op(a);
-                push_op(b);
-                push_op(c);
+                see(reg(a));
+                see(reg(b));
+                see(reg(c));
             }
-            Op::Cvt { src, .. } => push_op(src),
             Op::Selp { a, b, p, .. } => {
-                push_op(a);
-                push_op(b);
-                out.push(*p);
+                see(reg(a));
+                see(reg(b));
+                see(Some(*p));
             }
             Op::Bra { .. } | Op::Bar | Op::Ret => {}
         }
-        if let Some((p, _)) = self.guard {
-            out.push(p);
-        }
-        out
+        see(self.guard.map(|(p, _)| p));
     }
 
     /// True for instructions that terminate a basic block.
@@ -342,6 +340,12 @@ mod tests {
 
     fn f(i: u32) -> Reg {
         Reg::new(RegClass::F, i)
+    }
+
+    fn srcs(i: &Instruction) -> Vec<Reg> {
+        let mut out = Vec::new();
+        i.for_each_src(|r| out.push(r));
+        out
     }
 
     #[test]
@@ -423,10 +427,7 @@ mod tests {
             true,
         );
         assert_eq!(i.dst(), Some(r(3)));
-        let srcs = i.srcs();
-        assert!(srcs.contains(&r(1)));
-        assert!(srcs.contains(&Reg::new(RegClass::P, 1)));
-        assert_eq!(srcs.len(), 2);
+        assert_eq!(srcs(&i), [r(1), Reg::new(RegClass::P, 1)]);
     }
 
     #[test]
@@ -438,8 +439,6 @@ mod tests {
             addr: Address::reg_off(Reg::new(RegClass::Rd, 2), 16),
         });
         assert_eq!(st.dst(), None);
-        let srcs = st.srcs();
-        assert!(srcs.contains(&f(5)));
-        assert!(srcs.contains(&Reg::new(RegClass::Rd, 2)));
+        assert_eq!(srcs(&st), [f(5), Reg::new(RegClass::Rd, 2)]);
     }
 }

@@ -1,7 +1,7 @@
 //! Kernels, modules and launch descriptions.
 
 use crate::inst::{BodyElem, Instruction, LabelId};
-use crate::types::{RegClass, Type};
+use crate::types::{Reg, RegClass, Type};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -54,20 +54,20 @@ impl Kernel {
             .collect()
     }
 
-    /// Highest register index used per class, for the `.reg` declarations.
-    pub fn reg_counts(&self) -> HashMap<RegClass, u32> {
-        let mut max: HashMap<RegClass, u32> = HashMap::new();
-        let mut see = |r: crate::types::Reg| {
-            let e = max.entry(r.class).or_insert(0);
-            *e = (*e).max(r.idx + 1);
+    /// Registers used per class, indexed by `RegClass as usize`: the
+    /// highest index used plus one, 0 for an unused class. These are the
+    /// `.reg` declarations.
+    pub fn reg_counts(&self) -> [u32; 4] {
+        let mut max = [0u32; 4];
+        let mut see = |r: Reg| {
+            let n = &mut max[r.class as usize];
+            *n = (*n).max(r.idx + 1);
         };
         for inst in self.instructions() {
             if let Some(d) = inst.dst() {
                 see(d);
             }
-            for s in inst.srcs() {
-                see(s);
-            }
+            inst.for_each_src(&mut see);
         }
         max
     }
@@ -77,9 +77,11 @@ impl Kernel {
     /// model.
     pub fn regs_per_thread(&self) -> u32 {
         let c = self.reg_counts();
-        let r = c.get(&RegClass::R).copied().unwrap_or(0);
-        let rd = c.get(&RegClass::Rd).copied().unwrap_or(0);
-        let f = c.get(&RegClass::F).copied().unwrap_or(0);
+        let (r, rd, f) = (
+            c[RegClass::R as usize],
+            c[RegClass::Rd as usize],
+            c[RegClass::F as usize],
+        );
         (r + f + 2 * rd).max(16)
     }
 
@@ -217,7 +219,7 @@ mod tests {
     #[test]
     fn reg_counts_track_max_index() {
         let k = tiny_kernel();
-        assert_eq!(k.reg_counts()[&RegClass::R], 2);
+        assert_eq!(k.reg_counts()[RegClass::R as usize], 2);
     }
 
     #[test]

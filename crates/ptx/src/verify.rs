@@ -159,7 +159,7 @@ pub fn verify_kernel(kernel: &Kernel) -> Vec<VerifyError> {
     // sound over-approximation for the single-pass builder output.
     let mut defined: HashSet<Reg> = HashSet::new();
     for (pc, inst) in instrs.iter().enumerate() {
-        for src in inst.srcs() {
+        inst.for_each_src(|src| {
             if !defined.contains(&src) {
                 // operands produced later on a loop path: treat as error —
                 // our builder always initializes before the loop head
@@ -169,7 +169,7 @@ pub fn verify_kernel(kernel: &Kernel) -> Vec<VerifyError> {
                     reg: src,
                 });
             }
-        }
+        });
         if let Some(d) = inst.dst() {
             defined.insert(d);
         }

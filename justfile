@@ -247,7 +247,9 @@ loc:
 # the measured git revision (`-dirty` when the tree has uncommitted
 # changes), the Rust line count, and the final JSON line of each perfbench
 # workload at seed 3 for 15 s with tracing off. Writes nothing unless
-# every workload reports `"correct": true` and no failed op.
+# every workload reports `"correct": true` and no failed op. `--locked`
+# refuses to run, rather than rewrite perfbench/Cargo.lock, when a linked
+# crate's dependencies change.
 bench-record n:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -255,7 +257,7 @@ bench-record n:
     loc=$({{rust_sources}} | xargs cat | wc -l)
     runs=()
     for w in dse-cold serve-analytical corpus-build; do
-        line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        line=$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
             --workload "$w" --seed 3 --seconds 15 --trace 0 | tail -n 1)
         case "$line" in
             *'"correct": true, '*'"failed": 0, '*) ;;

@@ -177,13 +177,21 @@ fn hung_detailed_tier_degrades_to_analytical_within_deadline() {
 
 #[test]
 fn ground_truth_holds_exactly_the_served_answers() {
-    // a 1 ms slice is shorter than densenet201's analytical simulation:
+    // a warm analytical simulation takes well under 1 ms, so an injected
+    // 1 ms slowdown spends each request's 1 ms slice before it starts:
     // however the timing splits, a tier classified `timeout` publishes
     // nothing, and every served answer publishes one row
     let (model, device) = ("densenet201", "V100S");
     let log = Arc::new(MeasurementLog::new(1024));
     let mut engine = ResilientEngine::new(EngineConfig {
         tiers: vec![Tier::Analytical],
+        chaos: ChaosProfile {
+            hang_rate: 0.0,
+            panic_rate: 0.0,
+            slow_rate: 1.0,
+            slow_ms: 1,
+            seed: CHAOS_SEED,
+        },
         ..EngineConfig::default()
     });
     engine.set_ground_truth_log(Arc::clone(&log));

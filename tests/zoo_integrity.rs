@@ -37,11 +37,9 @@ fn all_models_match_paper_parameters_within_tolerance() {
     assert!(failures.is_empty(), "{failures:#?}");
 }
 
-#[test]
-fn all_models_lower_to_nonempty_plans() {
-    // every model `build_any` resolves, at every device's sm target. Apart
-    // from the module header's `target`, lowering must not depend on the
-    // target: one analysis per model serves every device.
+/// Every model `build_any` resolves: the Table I zoo, the variants and the
+/// transformers.
+fn resolvable_names() -> Vec<&'static str> {
     let names: Vec<&str> = cnn_ir::zoo::all()
         .iter()
         .map(|e| e.name)
@@ -53,6 +51,15 @@ fn all_models_lower_to_nonempty_plans() {
         )
         .collect();
     assert_eq!(names.len(), 45);
+    names
+}
+
+#[test]
+fn all_models_lower_to_nonempty_plans() {
+    // every model `build_any` resolves, at every device's sm target. Apart
+    // from the module header's `target`, lowering must not depend on the
+    // target: one analysis per model serves every device.
+    let names = resolvable_names();
     let targets: BTreeSet<String> = gpu_sim::all_devices()
         .iter()
         .map(|d| d.sm_target())
@@ -108,6 +115,52 @@ fn plan_differs(a: &ptx::kernel::LaunchPlan, b: &ptx::kernel::LaunchPlan) -> Opt
                 && x.bytes_written == y.bytes_written;
             (!same).then(|| format!("launch {i} ({})", x.tag))
         })
+}
+
+#[test]
+fn analytical_plan_sums_its_launches_on_every_device() {
+    // the analytical arm of `simulate_plan` shares its per-plan timing and
+    // occupancy among launches: it must report, bit for bit, the in-order
+    // sum of `estimate_launch` over the plan's launches, and the counts
+    // it was given
+    let devices = gpu_sim::all_devices();
+    let bad: Vec<String> = resolvable_names()
+        .par_iter()
+        .map(|name| {
+            let model = cnn_ir::zoo::build_any(name).expect("build_any resolves its own names");
+            let plan = ptx_codegen::lower(&model, cnnperf_core::DEFAULT_SM_TARGET).expect("lowers");
+            let counts = ptx_analysis::count_plan(&plan, true).expect("counts");
+            let warp: u64 = counts.per_launch.iter().map(|c| c.warp_issues).sum();
+            devices
+                .iter()
+                .filter_map(|dev| {
+                    let cycles: f64 = plan
+                        .launches
+                        .iter()
+                        .zip(&counts.per_launch)
+                        .map(|(l, c)| {
+                            let k = &plan.module.kernels[l.kernel];
+                            gpu_sim::analytical::estimate_launch(k, l, c, dev).expect("estimates")
+                        })
+                        .sum();
+                    let sim = gpu_sim::Simulator::new(dev.clone(), gpu_sim::SimMode::Analytical);
+                    let report = sim
+                        .simulate_plan(&plan, &counts, &ptx_analysis::ExecBudget::default())
+                        .expect("simulates");
+                    (report.cycles.to_bits() != cycles.to_bits()
+                        || report.warp_instructions != warp)
+                        .then(|| {
+                            format!(
+                                "{name} on {}: cycles {} vs {cycles}, warp {} vs {warp}",
+                                dev.name, report.cycles, report.warp_instructions
+                            )
+                        })
+                })
+                .collect()
+        })
+        .collect::<Vec<Vec<String>>>()
+        .concat();
+    assert!(bad.is_empty(), "{bad:#?}");
 }
 
 #[test]
