@@ -27,7 +27,7 @@ impl fmt::Display for NodeId {
 }
 
 /// One operation in the graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct Node {
     pub id: NodeId,
     pub name: String,
@@ -35,8 +35,10 @@ pub struct Node {
     pub inputs: Vec<NodeId>,
 }
 
-/// A complete CNN model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A complete CNN model. Hashing is structural over every field, so two
+/// graphs hash alike exactly when they are built alike (dropout rates by
+/// bit pattern, see [`Layer`]).
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct ModelGraph {
     name: String,
     /// The "depth" the architecture is named after (e.g. 50 for ResNet-50).

@@ -11,6 +11,7 @@
 use crate::shape::{Padding, TensorShape};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Activation function kinds. These carry no parameters; they matter for
 /// FLOP counting and for lowering to PTX.
@@ -299,7 +300,8 @@ impl fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
-/// One graph node's operation.
+/// One graph node's operation. Hashing is structural, with the dropout
+/// rate by bit pattern (so `0.0` and `-0.0` hash apart).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Layer {
     /// Graph entry point carrying the input shape.
@@ -360,6 +362,33 @@ pub enum Layer {
     MlpBlock {
         hidden: u32,
     },
+}
+
+impl Hash for Layer {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Layer::Input { shape } => shape.hash(state),
+            Layer::Conv2d(c) => c.hash(state),
+            Layer::DepthwiseConv2d(d) => d.hash(state),
+            Layer::Dense(d) => d.hash(state),
+            Layer::Pool2d(p) => p.hash(state),
+            Layer::GlobalPool { kind } => kind.hash(state),
+            Layer::BatchNorm(b) => b.hash(state),
+            Layer::GroupNorm { groups } | Layer::ChannelShuffle { groups } => groups.hash(state),
+            Layer::ZeroPad {
+                top,
+                bottom,
+                left,
+                right,
+            } => (top, bottom, left, right).hash(state),
+            Layer::Dropout { rate } => rate.to_bits().hash(state),
+            Layer::MultiHeadAttention { heads } => heads.hash(state),
+            Layer::MlpBlock { hidden } => hidden.hash(state),
+            Layer::Activation(a) => a.hash(state),
+            Layer::Add | Layer::Multiply | Layer::Concat | Layer::Flatten | Layer::LayerNorm => {}
+        }
+    }
 }
 
 impl Layer {

@@ -8,14 +8,17 @@
 //! DSE candidate re-lowered and re-executed the DCA from scratch.
 //!
 //! [`AnalyzedModel::compute`] is the one uncached analysis.
-//! [`analyze_cached`] memoizes it on `(model content hash, sm target)` —
-//! the same FNV-1a envelope hashing as the on-disk corpus cache
-//! ([`crate::cache`]) — behind an `Arc`. Lowering reads the target only to
-//! stamp the module header, so every program path asks at
-//! [`DEFAULT_SM_TARGET`]: the ResilientEngine's tiers, `build_corpus_robust`,
-//! DSE sweeps and the CLI share one analysis per model. The cache is
-//! bounded (LRU over a logical access stamp) and only successful analyses
-//! are stored; failures propagate uncached.
+//! [`analyze_cached`] memoizes it on `(model content hash, sm target)`
+//! behind an `Arc`. The content hash ([`model_content_hash`]) walks the
+//! graph structurally into the FNV-1a of the on-disk envelopes
+//! ([`crate::cache`]), so hashing neither serializes nor allocates.
+//! Lowering reads the target only to stamp the module header, so every
+//! program path asks at [`DEFAULT_SM_TARGET`]: the ResilientEngine's
+//! tiers, `build_corpus_robust`, DSE sweeps and the CLI share one analysis
+//! per model. Each entry's plan holds the one shared template list, not
+//! kernels of its own. The cache is bounded (LRU over a logical access
+//! stamp) and only successful analyses are stored; failures propagate
+//! uncached.
 //!
 //! The engine names its models, so it finds a zoo model's analysis by
 //! name: the cache memoizes each zoo name's content hash, and a warm
@@ -27,12 +30,13 @@
 //! the cache lock: a slow DCA never blocks concurrent lookups of other
 //! models.
 
-use crate::cache::fnv1a;
+use crate::cache::Fnv1a;
 use crate::features::{CnnProfile, ProfileError, DEFAULT_SM_TARGET};
 use cnn_ir::{ModelGraph, ModelSummary};
 use ptx::kernel::LaunchPlan;
 use ptx_analysis::{CountMode, CountingReport, ExecBudget, PlanCount};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cache probes.
@@ -130,12 +134,17 @@ fn lock() -> std::sync::MutexGuard<'static, Inner> {
     cache().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Content hash of a model graph: FNV-1a over its canonical JSON
-/// serialization, so structurally identical graphs share a cache line and
-/// any topology/weight-shape change misses.
+/// Content hash of a model graph: FNV-1a fed by the graph's structural
+/// [`Hash`] (name, nominal depth, every node's name, layer and ordered
+/// inputs, and the output), with no serialization or allocation. Graphs
+/// built alike share a cache line and any change to topology, a layer
+/// parameter or a name misses. The cell journal keys its cells by this
+/// value, so changing what it hashes needs a
+/// [`crate::journal::JOURNAL_SCHEMA`] bump.
 pub fn model_content_hash(model: &ModelGraph) -> u64 {
-    let json = serde_json::to_string(model).unwrap_or_default();
-    fnv1a(json.as_bytes())
+    let mut h = Fnv1a::default();
+    model.hash(&mut h);
+    h.finish()
 }
 
 /// Analyze `model` lowered for `target`, memoized process-wide. On a hit
@@ -271,6 +280,200 @@ pub fn clear_analysis_cache() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnn_ir::{
+        ActKind, BatchNorm, Conv2d, Dense, DepthwiseConv2d, GraphBuilder, Layer, Padding, Pool2d,
+        PoolKind, TensorShape,
+    };
+
+    /// `model_content_hash` of resnet50.
+    const PINNED_RESNET50_HASH: u64 = 0xecd5_cd61_da3d_9aa0;
+
+    /// A node's name, layer and inputs (indices of earlier nodes).
+    type NodeSpec = (String, Layer, Vec<usize>);
+
+    /// The content hash of the graph built from `nodes`.
+    fn hash_of(name: &str, depth: u32, nodes: &[NodeSpec], output: usize) -> u64 {
+        let mut b = GraphBuilder::new(name, depth);
+        let mut ids = Vec::new();
+        for (node, layer, inputs) in nodes {
+            let inputs: Vec<_> = inputs.iter().map(|&i| ids[i]).collect();
+            ids.push(b.named_layer(node.clone(), layer.clone(), &inputs));
+        }
+        model_content_hash(&b.finish(ids[output]))
+    }
+
+    /// One node of every `Layer` variant, `Input` first, each fed by the
+    /// node before it; the `Add` also by the input. Hashing never infers
+    /// shapes, so the wiring need not type-check.
+    fn every_layer() -> Vec<NodeSpec> {
+        let layers = [
+            Layer::Input {
+                shape: TensorShape::square(8, 3),
+            },
+            Layer::Conv2d(Conv2d::new(4, 3, 1, Padding::Same)),
+            Layer::DepthwiseConv2d(DepthwiseConv2d::new(3, 1, Padding::Same)),
+            Layer::Dense(Dense::new(10)),
+            Layer::Pool2d(Pool2d::max(2, 2, Padding::Valid)),
+            Layer::GlobalPool {
+                kind: PoolKind::Avg,
+            },
+            Layer::BatchNorm(BatchNorm::default()),
+            Layer::GroupNorm { groups: 2 },
+            Layer::Activation(ActKind::Relu),
+            Layer::Add,
+            Layer::Multiply,
+            Layer::Concat,
+            Layer::ChannelShuffle { groups: 2 },
+            Layer::ZeroPad {
+                top: 1,
+                bottom: 1,
+                left: 1,
+                right: 1,
+            },
+            Layer::Flatten,
+            Layer::Dropout { rate: 0.5 },
+            Layer::LayerNorm,
+            Layer::MultiHeadAttention { heads: 2 },
+            Layer::MlpBlock { hidden: 8 },
+        ];
+        layers
+            .into_iter()
+            .enumerate()
+            .map(|(i, layer)| {
+                let inputs = match (i, &layer) {
+                    (0, _) => vec![],
+                    (_, Layer::Add) => vec![i - 1, 0],
+                    _ => vec![i - 1],
+                };
+                (format!("n{i}"), layer, inputs)
+            })
+            .collect()
+    }
+
+    /// `layer` with one parameter changed, `None` for a variant without
+    /// parameters. Exhaustive, so a new variant must say what it hashes.
+    fn tweaked(layer: &Layer) -> Option<Layer> {
+        Some(match layer.clone() {
+            Layer::Input { mut shape } => {
+                shape.c += 1;
+                Layer::Input { shape }
+            }
+            Layer::Conv2d(mut c) => {
+                c.groups += 1;
+                Layer::Conv2d(c)
+            }
+            Layer::DepthwiseConv2d(mut d) => {
+                d.use_bias = !d.use_bias;
+                Layer::DepthwiseConv2d(d)
+            }
+            Layer::Dense(mut d) => {
+                d.units += 1;
+                Layer::Dense(d)
+            }
+            Layer::Pool2d(mut p) => {
+                p.stride.1 += 1;
+                Layer::Pool2d(p)
+            }
+            Layer::GlobalPool { .. } => Layer::GlobalPool {
+                kind: PoolKind::Max,
+            },
+            Layer::BatchNorm(mut b) => {
+                b.center = !b.center;
+                Layer::BatchNorm(b)
+            }
+            Layer::GroupNorm { groups } => Layer::GroupNorm { groups: groups + 1 },
+            Layer::Activation(_) => Layer::Activation(ActKind::Gelu),
+            Layer::ChannelShuffle { groups } => Layer::ChannelShuffle { groups: groups + 1 },
+            Layer::ZeroPad {
+                top,
+                bottom,
+                left,
+                right,
+            } => Layer::ZeroPad {
+                top,
+                bottom,
+                left,
+                right: right + 1,
+            },
+            Layer::Dropout { rate } => Layer::Dropout { rate: rate / 2.0 },
+            Layer::MultiHeadAttention { heads } => Layer::MultiHeadAttention { heads: heads + 1 },
+            Layer::MlpBlock { hidden } => Layer::MlpBlock { hidden: hidden + 1 },
+            Layer::Add | Layer::Multiply | Layer::Concat | Layer::Flatten | Layer::LayerNorm => {
+                return None
+            }
+        })
+    }
+
+    #[test]
+    fn content_hash_of_resnet50_is_pinned() {
+        let resnet50 = cnn_ir::zoo::build_any("resnet50").unwrap();
+        assert_eq!(
+            model_content_hash(&resnet50),
+            PINNED_RESNET50_HASH,
+            "the model content hash changed value: the cell journal keys its \
+             cells by it, so bump JOURNAL_SCHEMA and re-pin"
+        );
+    }
+
+    #[test]
+    fn every_resolvable_model_hashes_apart() {
+        use cnn_ir::zoo::{transformer::all_transformers, variants::all_variants};
+        let names: Vec<&str> = cnn_ir::zoo::all()
+            .iter()
+            .map(|e| e.name)
+            .chain(all_variants().iter().map(|(n, _)| *n))
+            .chain(all_transformers().iter().map(|(n, _)| *n))
+            .collect();
+        assert_eq!(names.len(), 45);
+        let mut hashes: Vec<u64> = names
+            .iter()
+            .map(|n| model_content_hash(&cnn_ir::zoo::build_any(n).unwrap()))
+            .collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), names.len(), "two models share a hash");
+    }
+
+    #[test]
+    fn content_hash_covers_every_field_and_layer_parameter() {
+        let nodes = every_layer();
+        let last = nodes.len() - 1;
+        let base = hash_of("g", 3, &nodes, last);
+        assert_eq!(base, hash_of("g", 3, &nodes, last));
+
+        let edit = |f: &dyn Fn(&mut Vec<NodeSpec>)| {
+            let mut nodes = nodes.clone();
+            f(&mut nodes);
+            hash_of("g", 3, &nodes, last)
+        };
+        let add = nodes.iter().position(|n| n.1 == Layer::Add).unwrap();
+        let mut changed = vec![
+            ("model name", hash_of("h", 3, &nodes, last)),
+            ("nominal depth", hash_of("g", 4, &nodes, last)),
+            ("output", hash_of("g", 3, &nodes, last - 1)),
+            ("node name", edit(&|n| n[1].0.push('x'))),
+            ("input order", edit(&|n| n[add].2.reverse())),
+        ];
+        for (i, (_, layer, _)) in nodes.iter().enumerate() {
+            if let Some(t) = tweaked(layer) {
+                changed.push((layer.kind_name(), edit(&|n| n[i].1 = t.clone())));
+            }
+        }
+        for (what, hash) in changed {
+            assert_ne!(hash, base, "changing the {what} kept the hash");
+        }
+    }
+
+    #[test]
+    fn dropout_rates_hash_by_bit_pattern() {
+        let with_rate = |rate: f32| {
+            let mut nodes = every_layer();
+            let i = nodes.iter().position(|n| n.1.kind_name() == "dropout");
+            nodes[i.unwrap()].1 = Layer::Dropout { rate };
+            hash_of("g", 3, &nodes, nodes.len() - 1)
+        };
+        assert_ne!(with_rate(0.0), with_rate(-0.0));
+    }
 
     #[test]
     fn content_hash_is_stable_and_discriminating() {

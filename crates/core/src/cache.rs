@@ -15,6 +15,7 @@ use crate::features::feature_names;
 use crate::pipeline::Corpus;
 use crate::vfs::{real_fs, Vfs};
 use serde::{Deserialize, Serialize};
+use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -38,15 +39,57 @@ struct CacheEnvelope {
 }
 
 /// FNV-1a (64-bit): the checksum of every on-disk envelope, the model
-/// content hash and the scheduler's shard choice.
-#[inline]
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// content hash and the scheduler's shard choice. Integers are written
+/// little-endian and `usize`s as 64 bits, so a value hashes the same on
+/// every platform.
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    // the signed and `u8` writes default to these
+    fn write_u16(&mut self, n: u16) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`Fnv1a`] over `bytes`.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Why a cache load produced nothing usable.

@@ -53,43 +53,68 @@ static ENGINE_CACHE_WARMED: obs::LazyCounter = obs::LazyCounter::new("engine.cac
 /// deterministic, bucket occupancy is not).
 static ENGINE_REQUEST_US: obs::LazyHistogram = obs::LazyHistogram::new("engine.request_us");
 
-/// Bump `engine.tier.<tier>.<suffix>`. Per-request frequency, so the
-/// registry lookup (a mutex + BTreeMap probe) is fine here; the hot
-/// simulator loops use static [`obs::LazyCounter`]s instead.
-fn tier_count(tier: Tier, suffix: &str) {
-    obs::global()
-        .counter(&format!("engine.tier.{}.{suffix}", tier.name()))
-        .inc();
+/// One metric per tier, `<prefix><tier name><suffix>`, indexed by
+/// `Tier as usize`: per-request bumps through statics, so none formats a
+/// name or takes the registry lock.
+macro_rules! per_tier {
+    ($lazy:ident, $prefix:literal, $suffix:literal) => {
+        [
+            obs::$lazy::new(concat!($prefix, "detailed", $suffix)),
+            obs::$lazy::new(concat!($prefix, "analytical", $suffix)),
+            obs::$lazy::new(concat!($prefix, "regressor", $suffix)),
+            obs::$lazy::new(concat!($prefix, "stale-cache", $suffix)),
+        ]
+    };
 }
 
-/// Bump the per-tier failure counter for a classified failure. Panic and
-/// error messages are collapsed to their kind so metric names stay a
-/// small, fixed set.
+/// `engine.tier.<tier>.attempts`.
+static TIER_ATTEMPTS: [obs::LazyCounter; 4] = per_tier!(LazyCounter, "engine.tier.", ".attempts");
+/// `engine.tier.<tier>.success`.
+static TIER_SUCCESSES: [obs::LazyCounter; 4] = per_tier!(LazyCounter, "engine.tier.", ".success");
+/// `engine.tier.<tier>.failure.<kind>`, one row per [`TierFailure`] kind
+/// in declaration order. Panic and error messages are collapsed to their
+/// kind so metric names stay a small, fixed set.
+static TIER_FAILURES: [[obs::LazyCounter; 4]; 6] = [
+    per_tier!(LazyCounter, "engine.tier.", ".failure.timeout"),
+    per_tier!(LazyCounter, "engine.tier.", ".failure.panic"),
+    per_tier!(LazyCounter, "engine.tier.", ".failure.error"),
+    per_tier!(LazyCounter, "engine.tier.", ".failure.breaker-open"),
+    per_tier!(LazyCounter, "engine.tier.", ".failure.cache-miss"),
+    per_tier!(LazyCounter, "engine.tier.", ".failure.deadline-spent"),
+];
+/// `engine.breaker.<tier>.to-<state>`, indexed by `BreakerState as usize`.
+static BREAKER_TRANSITIONS: [[obs::LazyCounter; 4]; 3] = [
+    per_tier!(LazyCounter, "engine.breaker.", ".to-closed"),
+    per_tier!(LazyCounter, "engine.breaker.", ".to-open"),
+    per_tier!(LazyCounter, "engine.breaker.", ".to-half-open"),
+];
+/// `engine.tier.<tier>.latency_us`: each attempt's wall time.
+static TIER_LATENCY_US: [obs::LazyHistogram; 4] =
+    per_tier!(LazyHistogram, "engine.tier.", ".latency_us");
+/// `engine.outcome.served.<tier>`.
+static SERVED_BY: [obs::LazyCounter; 4] = per_tier!(LazyCounter, "engine.outcome.served.", "");
+
+/// The [`TIER_FAILURES`] row of a failure's kind.
+fn failure_row(failure: &TierFailure) -> usize {
+    match failure {
+        TierFailure::Timeout => 0,
+        TierFailure::Panic(_) => 1,
+        TierFailure::Error(_) => 2,
+        TierFailure::BreakerOpen => 3,
+        TierFailure::CacheMiss => 4,
+        TierFailure::DeadlineSpent => 5,
+    }
+}
+
+/// Bump the per-tier failure counter for a classified failure.
 fn tier_failure_count(tier: Tier, failure: &TierFailure) {
-    let label = match failure {
-        TierFailure::Timeout => "timeout",
-        TierFailure::Panic(_) => "panic",
-        TierFailure::Error(_) => "error",
-        TierFailure::BreakerOpen => "breaker-open",
-        TierFailure::CacheMiss => "cache-miss",
-        TierFailure::DeadlineSpent => "deadline-spent",
-    };
-    obs::global()
-        .counter(&format!("engine.tier.{}.failure.{label}", tier.name()))
-        .inc();
+    TIER_FAILURES[failure_row(failure)][tier as usize].inc();
 }
 
 /// Record a breaker state transition as `engine.breaker.<tier>.to-<state>`.
 fn note_breaker_transition(tier: Tier, before: BreakerState, after: BreakerState) {
     if before != after {
-        let state = match after {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        };
-        obs::global()
-            .counter(&format!("engine.breaker.{}.to-{state}", tier.name()))
-            .inc();
+        BREAKER_TRANSITIONS[after as usize][tier as usize].inc();
     }
 }
 
@@ -402,12 +427,12 @@ impl ResilientEngine {
             // the stale cache is the floor of the ladder: no budget, no
             // breaker, immune to chaos, effectively instant
             if tier == Tier::StaleCache {
-                tier_count(tier, "attempts");
+                TIER_ATTEMPTS[tier as usize].inc();
                 ENGINE_CACHE_LOOKUPS.inc();
                 match self.cache.get(&(model.to_string(), device.to_string())) {
                     Some(&(ipc, latency_ms)) => {
                         ENGINE_CACHE_HITS.inc();
-                        tier_count(tier, "success");
+                        TIER_SUCCESSES[tier as usize].inc();
                         return self.outcome(
                             model,
                             device,
@@ -431,7 +456,7 @@ impl ResilientEngine {
 
             if deadline.expired() {
                 let failure = TierFailure::DeadlineSpent;
-                tier_count(tier, "attempts");
+                TIER_ATTEMPTS[tier as usize].inc();
                 tier_failure_count(tier, &failure);
                 attempts.push(TierAttempt { tier, failure });
                 continue;
@@ -444,7 +469,7 @@ impl ResilientEngine {
             let state_before = breaker.state();
             let admitted = breaker.admit(tick);
             note_breaker_transition(tier, state_before, breaker.state());
-            tier_count(tier, "attempts");
+            TIER_ATTEMPTS[tier as usize].inc();
             if !admitted {
                 let failure = TierFailure::BreakerOpen;
                 tier_failure_count(tier, &failure);
@@ -475,9 +500,7 @@ impl ResilientEngine {
                     &budget,
                 )
             }));
-            obs::global()
-                .histogram(&format!("engine.tier.{}.latency_us", tier.name()))
-                .record_duration(tier_start.elapsed());
+            TIER_LATENCY_US[tier as usize].record_duration(tier_start.elapsed());
             // an answer that arrives after the slice is a timeout, whatever
             // it says
             let failure = match work {
@@ -487,7 +510,7 @@ impl ResilientEngine {
                     let state_before = breaker.state();
                     breaker.record(tick, true);
                     note_breaker_transition(tier, state_before, breaker.state());
-                    tier_count(tier, "success");
+                    TIER_SUCCESSES[tier as usize].inc();
                     let (ipc, latency_ms) = (answer.ipc, answer.latency_ms);
                     self.cache
                         .insert((model.to_string(), device.to_string()), (ipc, latency_ms));
@@ -545,9 +568,7 @@ impl ResilientEngine {
         match &kind {
             OutcomeKind::Served { tier } => {
                 ENGINE_SERVED.inc();
-                obs::global()
-                    .counter(&format!("engine.outcome.served.{}", tier.name()))
-                    .inc();
+                SERVED_BY[*tier as usize].inc();
             }
             OutcomeKind::Exhausted => ENGINE_EXHAUSTED.inc(),
         }
@@ -675,6 +696,39 @@ mod tests {
         );
         assert_eq!(Tier::parse_ladder("cache").unwrap(), vec![Tier::StaleCache]);
         assert!(Tier::parse_ladder("warp-speed").is_err());
+    }
+
+    #[test]
+    fn per_tier_metrics_keep_their_names() {
+        let failures = [
+            (TierFailure::Timeout, "timeout"),
+            (TierFailure::Panic("p".into()), "panic"),
+            (TierFailure::Error("e".into()), "error"),
+            (TierFailure::BreakerOpen, "breaker-open"),
+            (TierFailure::CacheMiss, "cache-miss"),
+            (TierFailure::DeadlineSpent, "deadline-spent"),
+        ];
+        let states = [
+            (BreakerState::Closed, "closed"),
+            (BreakerState::Open, "open"),
+            (BreakerState::HalfOpen, "half-open"),
+        ];
+        for tier in Tier::LADDER {
+            let (t, name) = (tier as usize, tier.name());
+            let prefix = format!("engine.tier.{name}");
+            assert_eq!(TIER_ATTEMPTS[t].name(), format!("{prefix}.attempts"));
+            assert_eq!(TIER_SUCCESSES[t].name(), format!("{prefix}.success"));
+            assert_eq!(TIER_LATENCY_US[t].name(), format!("{prefix}.latency_us"));
+            assert_eq!(SERVED_BY[t].name(), format!("engine.outcome.served.{name}"));
+            for (failure, kind) in &failures {
+                let counter = &TIER_FAILURES[failure_row(failure)][t];
+                assert_eq!(counter.name(), format!("{prefix}.failure.{kind}"));
+            }
+            for (state, label) in states {
+                let counter = &BREAKER_TRANSITIONS[state as usize][t];
+                assert_eq!(counter.name(), format!("engine.breaker.{name}.to-{label}"));
+            }
+        }
     }
 
     #[test]

@@ -64,9 +64,11 @@ static JOURNAL_TMP_SWEPT: obs::LazyCounter = obs::LazyCounter::new("journal.tmp.
 /// Journals that entered ENOSPC-degraded (append-drop) mode.
 static JOURNAL_DEGRADED: obs::LazyCounter = obs::LazyCounter::new("journal.degraded");
 
-/// Bump when any journaled record changes shape; a resumed build refuses
-/// journals written under a different schema.
-pub const JOURNAL_SCHEMA: u32 = 2;
+/// Bump when any journaled record changes shape or meaning; a resumed
+/// build refuses journals written under a different schema. Schema 3 keys
+/// cells by the structural [`crate::model_content_hash`], which replaced a
+/// hash of the graph's JSON.
+pub const JOURNAL_SCHEMA: u32 = 3;
 
 /// Records per segment file before rotating to the next one.
 pub const SEGMENT_RECORDS: u32 = 128;
@@ -615,6 +617,27 @@ mod tests {
         drop(j);
         let other = BuildMeta { runs: 99, ..meta() };
         match Journal::open(&dir, &other, true) {
+            Err(JournalError::ConfigMismatch { .. }) => {}
+            other => panic!(
+                "expected config mismatch, got {other:?}",
+                other = other.err()
+            ),
+        }
+    }
+
+    #[test]
+    fn journal_of_the_previous_schema_is_refused() {
+        // its cells are keyed by another model hash, so resuming from it
+        // must not mix them with this schema's cells
+        let dir = tmp_dir("old-schema");
+        let old = BuildMeta {
+            schema: JOURNAL_SCHEMA - 1,
+            ..meta()
+        };
+        let (j, _) = Journal::open(&dir, &old, false).unwrap();
+        j.append_cell("m", 1, "d", &fault("x")).unwrap();
+        drop(j);
+        match Journal::open(&dir, &meta(), true) {
             Err(JournalError::ConfigMismatch { .. }) => {}
             other => panic!(
                 "expected config mismatch, got {other:?}",

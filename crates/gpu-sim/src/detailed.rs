@@ -470,7 +470,7 @@ mod tests {
         // launch 0, and an unexpired one changes nothing
         let k = guard_kernel(16);
         let mut module = ptx::kernel::Module::new("sm_61");
-        module.kernels.push(k.clone());
+        std::sync::Arc::make_mut(&mut module.kernels).push(k.clone());
         let plan = ptx::kernel::LaunchPlan {
             model_name: "plan".into(),
             module,

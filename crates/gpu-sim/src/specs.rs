@@ -173,27 +173,34 @@ pub fn training_devices() -> Vec<DeviceSpec> {
     vec![gtx_1080_ti(), v100s()]
 }
 
+/// Builds one device's spec.
+type Constructor = fn() -> DeviceSpec;
+
+/// Every modeled device's name and constructor, in [`all_devices`] order.
+const DEVICES: [(&str, Constructor); 9] = [
+    ("GTX 1080 Ti", gtx_1080_ti),
+    ("V100S", v100s),
+    ("Quadro P1000", quadro_p1000),
+    ("Titan Xp", titan_xp),
+    ("RTX 2080 Ti", rtx_2080_ti),
+    ("Tesla T4", tesla_t4),
+    ("A100", a100),
+    ("H100", h100),
+    ("GTX 1050 Ti", gtx_1050_ti),
+];
+
 /// All modeled devices (nine, used for the Table IV `n = 1..7` sweep and
 /// cross-platform experiments).
 pub fn all_devices() -> Vec<DeviceSpec> {
-    vec![
-        gtx_1080_ti(),
-        v100s(),
-        quadro_p1000(),
-        titan_xp(),
-        rtx_2080_ti(),
-        tesla_t4(),
-        a100(),
-        h100(),
-        gtx_1050_ti(),
-    ]
+    DEVICES.iter().map(|(_, build)| build()).collect()
 }
 
-/// Look up a device by name (case-insensitive).
+/// Look up a device by name (case-insensitive), building only that one.
 pub fn device_by_name(name: &str) -> Option<DeviceSpec> {
-    all_devices()
-        .into_iter()
-        .find(|d| d.name.eq_ignore_ascii_case(name))
+    DEVICES
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build())
 }
 
 /// NVIDIA GeForce GTX 1080 Ti (Pascal, GP102).
@@ -251,6 +258,15 @@ mod tests {
         assert!(device_by_name("V100S").is_some());
         assert!(device_by_name("Quadro P1000").is_some());
         assert_eq!(all_devices().len(), 9);
+    }
+
+    #[test]
+    fn every_device_is_found_by_its_own_name() {
+        for d in all_devices() {
+            assert_eq!(device_by_name(&d.name).as_ref(), Some(&d));
+            assert_eq!(device_by_name(&d.name.to_lowercase()).as_ref(), Some(&d));
+        }
+        assert!(device_by_name("GTX 9999").is_none());
     }
 
     #[test]

@@ -394,6 +394,11 @@ impl LazyCounter {
         }
     }
 
+    /// The name this counter registers under.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
     #[inline]
     fn handle(&self) -> &Counter {
         self.cell.get_or_init(|| global().counter(self.name))
@@ -427,6 +432,11 @@ impl LazyHistogram {
             name,
             cell: OnceLock::new(),
         }
+    }
+
+    /// The name this histogram registers under.
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     #[inline]

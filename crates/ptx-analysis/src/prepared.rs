@@ -13,6 +13,12 @@
 //! whatever their names. The table holds at most [`KERNEL_TABLE_CAPACITY`]
 //! kernels and evicts the least recently used one beyond that.
 //!
+//! Every lowered plan shares one template list (`Module::kernels`), so
+//! [`prepare_plan`] also resolves kernels by (list, index): the table
+//! remembers which entry each kernel of the last list it saw found, and a
+//! plan on that list reaches its entries without hashing or comparing a
+//! kernel. A list's first plan, and [`prepare_kernel`], go by content.
+//!
 //! The table also defines what a launch's counts depend on (see
 //! [`PreparedKernel::read_args`]), which is what the counting and
 //! simulation memo tables key on.
@@ -119,14 +125,82 @@ struct Entry {
     prepared: Arc<PreparedKernel>,
 }
 
+/// A kernel list resolved by index: the entry each of its kernels found.
+struct List {
+    /// Held, so no other list takes this address while the table names
+    /// it; and since the list is then shared, `Arc::make_mut` on a module
+    /// copies it before editing, so its kernels never change under `slots`.
+    kernels: Arc<Vec<Kernel>>,
+    /// Per kernel, the index of its entry once resolved.
+    slots: Vec<Option<usize>>,
+}
+
 struct Table {
     entries: Vec<Entry>,
+    /// The kernel list [`prepare_plan`] saw last.
+    list: Option<List>,
     tick: u64,
+}
+
+impl Table {
+    /// The index of the entry for a kernel equal to `kernel`, prepared now
+    /// (decoded and sliced, poly-compiled on first use) if there is none.
+    fn find_or_prepare(&mut self, kernel: &Kernel) -> usize {
+        let mut h = DefaultHasher::new();
+        kernel.hash(&mut h);
+        let hash = h.finish();
+        self.tick += 1;
+        let stamp = self.tick;
+        if let Some(i) = self
+            .entries
+            .iter()
+            .position(|e| e.hash == hash && e.prepared.kernel == *kernel)
+        {
+            self.entries[i].stamp = stamp;
+            return i;
+        }
+        let entry = Entry {
+            hash,
+            stamp,
+            prepared: Arc::new(PreparedKernel::new(kernel.clone())),
+        };
+        if self.entries.len() < KERNEL_TABLE_CAPACITY {
+            self.entries.push(entry);
+            return self.entries.len() - 1;
+        }
+        let lru = (0..self.entries.len())
+            .min_by_key(|&i| self.entries[i].stamp)
+            .expect("a full table has entries");
+        self.entries[lru] = entry;
+        // slots that found the evicted kernel resolve by content again
+        for slot in self.list.iter_mut().flat_map(|l| &mut l.slots) {
+            if *slot == Some(lru) {
+                *slot = None;
+            }
+        }
+        lru
+    }
+
+    /// The index of the entry for kernel `k` of `list`, which is
+    /// `kernel`: through its slot, or by content on first use.
+    fn resolve(&mut self, k: usize, kernel: &Kernel) -> usize {
+        if let Some(i) = self.list.as_ref().and_then(|l| l.slots[k]) {
+            self.tick += 1;
+            self.entries[i].stamp = self.tick;
+            return i;
+        }
+        let i = self.find_or_prepare(kernel);
+        if let Some(l) = &mut self.list {
+            l.slots[k] = Some(i);
+        }
+        i
+    }
 }
 
 fn table() -> MutexGuard<'static, Table> {
     static TABLE: Mutex<Table> = Mutex::new(Table {
         entries: Vec::new(),
+        list: None,
         tick: 0,
     });
     // entries are replaced whole, so a panic elsewhere cannot leave one
@@ -137,54 +211,46 @@ fn table() -> MutexGuard<'static, Table> {
 /// `kernel` prepared: the table's entry for an equal kernel, or a new one
 /// (decoded and sliced now, poly-compiled on first use).
 pub fn prepare_kernel(kernel: &Kernel) -> Arc<PreparedKernel> {
-    let mut h = DefaultHasher::new();
-    kernel.hash(&mut h);
-    let hash = h.finish();
     let mut t = table();
-    t.tick += 1;
-    let tick = t.tick;
-    if let Some(e) = t
-        .entries
-        .iter_mut()
-        .find(|e| e.hash == hash && e.prepared.kernel == *kernel)
-    {
-        e.stamp = tick;
-        return Arc::clone(&e.prepared);
-    }
     // prepared under the lock, so a kernel is decoded and sliced at most
     // once while it stays in the table, even when threads race for it
-    let prepared = Arc::new(PreparedKernel::new(kernel.clone()));
-    if t.entries.len() >= KERNEL_TABLE_CAPACITY {
-        let lru = (0..t.entries.len())
-            .min_by_key(|&i| t.entries[i].stamp)
-            .expect("a full table has entries");
-        t.entries.swap_remove(lru);
-    }
-    t.entries.push(Entry {
-        hash,
-        stamp: tick,
-        prepared: Arc::clone(&prepared),
-    });
-    prepared
+    let i = t.find_or_prepare(kernel);
+    Arc::clone(&t.entries[i].prepared)
 }
 
 /// The kernels `plan` launches, each prepared once: slot `i` holds module
-/// kernel `i`, or `None` when no launch uses it.
+/// kernel `i`, or `None` when no launch uses it. Each is the `Arc`
+/// [`prepare_kernel`] returns for that kernel, found by index when the
+/// plan's kernel list was seen before.
 pub fn prepare_plan(plan: &LaunchPlan) -> Vec<Option<Arc<PreparedKernel>>> {
-    let mut prepared = vec![None; plan.module.kernels.len()];
+    let kernels = &plan.module.kernels;
+    let mut t = table();
+    match &t.list {
+        Some(l) if Arc::ptr_eq(&l.kernels, kernels) => {}
+        _ => {
+            t.list = Some(List {
+                kernels: Arc::clone(kernels),
+                slots: vec![None; kernels.len()],
+            })
+        }
+    }
+    let mut prepared = vec![None; kernels.len()];
     for l in &plan.launches {
         if prepared[l.kernel].is_none() {
-            prepared[l.kernel] = Some(prepare_kernel(&plan.module.kernels[l.kernel]));
+            let i = t.resolve(l.kernel, &kernels[l.kernel]);
+            prepared[l.kernel] = Some(Arc::clone(&t.entries[i].prepared));
         }
     }
     prepared
 }
 
-/// Drop every prepared kernel, so the next use of each prepares it anew
-/// (test isolation and cold-start measurement; handles already given out
-/// stay valid).
+/// Drop every prepared kernel and the list resolved by index, so the next
+/// use of each kernel prepares it anew (test isolation and cold-start
+/// measurement; handles already given out stay valid).
 pub fn clear_kernel_table() {
-    table().entries.clear();
+    let mut t = table();
+    t.entries.clear();
+    t.list = None;
 }
 
 /// Group `launches` by `key` in first-seen order. Returns the index of each

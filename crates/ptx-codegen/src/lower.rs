@@ -5,6 +5,7 @@
 use crate::templates::{self, Template, BLOCK, TILE};
 use cnn_ir::{ActKind, GraphError, Layer, ModelGraph, PoolKind, TensorShape};
 use ptx::kernel::{KernelLaunch, LaunchPlan, Module};
+use std::sync::Arc;
 
 /// Base of the synthetic device-memory arena used for tensor addresses.
 const ARENA_BASE: u64 = 0x1000_0000;
@@ -19,7 +20,7 @@ struct Lowerer {
 impl Lowerer {
     fn new(target: &str, gemm: GemmVariant) -> Self {
         let mut module = Module::new(target);
-        module.kernels = templates::build_all();
+        module.kernels = Arc::clone(templates::kernels());
         Self {
             module,
             launches: Vec::new(),
@@ -845,6 +846,23 @@ mod tests {
         assert_eq!(tiles, 2);
         let kernel = &plan.module.kernels[gemm.kernel];
         assert_eq!(kernel.name, "k_gemm_tiled_f32");
+    }
+
+    #[test]
+    fn every_lowering_shares_the_one_template_list() {
+        for name in ["alexnet", "mobilenet"] {
+            let model = cnn_ir::zoo::build(name).unwrap();
+            for target in ["sm_61", "sm_80"] {
+                for gemm in [GemmVariant::Tiled, GemmVariant::Micro2x2] {
+                    let plan = lower_with(&model, target, 1, gemm).unwrap();
+                    assert_eq!(plan.module.target, target);
+                    assert!(
+                        Arc::ptr_eq(&plan.module.kernels, templates::kernels()),
+                        "{name} at {target} ({gemm:?}) owns its kernels"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //! branchlessly with `selp`/`max`, matching how `nvcc` if-converts such
 //! code. This is what makes the paper's slicing-based dynamic code analysis
 //! exact on these kernels.
+//!
+//! The templates are built once per process into one immutable list,
+//! [`kernels`], which every lowered module shares.
 
 use ptx::builder::KernelBuilder;
 use ptx::inst::{Address, Operand};
 use ptx::kernel::Kernel;
 use ptx::types::{BinOp, CmpOp, Reg, Space, Type, UnOp};
+use std::sync::{Arc, OnceLock};
 
 /// Threads per block for every generated kernel (power of two so the
 /// Fig. 2 `shl`/`or` global-id idiom applies).
@@ -24,7 +28,7 @@ pub const BLOCK: u32 = 256;
 /// GEMM tile edge; blocks of 256 threads compute 16x16 output tiles.
 pub const TILE: u32 = 16;
 
-/// Names of all kernel templates, in the order [`build_all`] returns them.
+/// Names of all kernel templates, in the order of [`kernels`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Template {
     CopyF32,
@@ -157,12 +161,14 @@ impl Template {
     }
 }
 
-/// Build every template kernel in `Template::ALL` order.
-pub fn build_all() -> Vec<Kernel> {
-    Template::ALL.iter().map(|t| t.build()).collect()
+/// Every template kernel in `Template::ALL` order, built on first use:
+/// the one kernel list every lowered module shares.
+pub fn kernels() -> &'static Arc<Vec<Kernel>> {
+    static KERNELS: OnceLock<Arc<Vec<Kernel>>> = OnceLock::new();
+    KERNELS.get_or_init(|| Arc::new(Template::ALL.iter().map(|t| t.build()).collect()))
 }
 
-/// Index of a template within [`build_all`]'s output.
+/// Index of a template within [`kernels`].
 pub fn template_index(t: Template) -> usize {
     Template::ALL.iter().position(|x| *x == t).expect("in ALL")
 }
@@ -1605,9 +1611,9 @@ mod tests {
 
     #[test]
     fn all_templates_build() {
-        let kernels = build_all();
+        let kernels = kernels();
         assert_eq!(kernels.len(), Template::ALL.len());
-        for (t, k) in Template::ALL.iter().zip(&kernels) {
+        for (t, k) in Template::ALL.iter().zip(kernels.iter()) {
             assert_eq!(k.name, t.name());
             assert!(k.num_instructions() > 3, "{} too small", k.name);
             // every kernel ends with ret
@@ -1666,11 +1672,11 @@ mod tests {
     #[test]
     fn printed_templates_reparse() {
         let mut module = ptx::Module::new("sm_61");
-        module.kernels = build_all();
+        module.kernels = Arc::clone(kernels());
         let text = ptx::printer::module(&module);
         let back = ptx::parse_module(&text).expect("reparse");
         assert_eq!(back.kernels.len(), module.kernels.len());
-        for (a, b) in module.kernels.iter().zip(&back.kernels) {
+        for (a, b) in module.kernels.iter().zip(back.kernels.iter()) {
             assert_eq!(a.body, b.body, "kernel {} did not round-trip", a.name);
         }
     }

@@ -4,6 +4,7 @@ use crate::inst::{BodyElem, Instruction, LabelId};
 use crate::types::{Reg, RegClass, Type};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A kernel parameter (`.param` space).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,14 +93,17 @@ impl Kernel {
 }
 
 /// A PTX translation unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Module {
     /// `.version` directive, e.g. (6, 0).
     pub version: (u32, u32),
     /// `.target` directive, e.g. "sm_61".
     pub target: String,
     pub address_size: u32,
-    pub kernels: Vec<Kernel>,
+    /// The kernel list, shared: every lowered module holds the one
+    /// template list, and a clone shares its owner's. Edit it through
+    /// [`Arc::make_mut`], which copies a shared list first.
+    pub kernels: Arc<Vec<Kernel>>,
 }
 
 impl Module {
@@ -108,7 +112,7 @@ impl Module {
             version: (6, 0),
             target: target.into(),
             address_size: 64,
-            kernels: Vec::new(),
+            kernels: Arc::default(),
         }
     }
 
@@ -148,7 +152,7 @@ impl KernelLaunch {
 
 /// A lowered CNN: the module plus the ordered launch sequence of one
 /// forward pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LaunchPlan {
     pub model_name: String,
     pub module: Module,
@@ -225,7 +229,7 @@ mod tests {
     #[test]
     fn launch_accounting() {
         let mut m = Module::new("sm_61");
-        m.kernels.push(tiny_kernel());
+        Arc::make_mut(&mut m.kernels).push(tiny_kernel());
         let plan = LaunchPlan {
             model_name: "t".into(),
             module: m,

@@ -7,6 +7,7 @@ use crate::inst::{AddrBase, Address, BodyElem, Instruction, LabelId, Op, Operand
 use crate::kernel::{Kernel, KernelParam, Module};
 use crate::types::{BinOp, CmpOp, Reg, RegClass, Space, SpecialReg, Type, UnOp};
 use std::fmt;
+use std::sync::Arc;
 
 /// Parse errors with line information. `line` is 1-based and always
 /// within the input's line count (clamped to 1 for empty input), so it
@@ -423,7 +424,7 @@ pub fn parse_module(text: &str) -> PResult<Module> {
             module.address_size = a.trim().parse().unwrap_or(64);
         } else if line.starts_with(".visible .entry") || line.starts_with(".entry") {
             let kernel = parse_kernel(&line, ln + 1, &mut lines)?;
-            module.kernels.push(kernel);
+            Arc::make_mut(&mut module.kernels).push(kernel);
         }
         // other directives ignored
     }

@@ -9,6 +9,7 @@
 
 use ptx_analysis::{branch_slice, slice_fraction, DepGraph};
 use ptx_codegen::Template;
+use std::sync::Arc;
 
 fn main() {
     // A Fig. 2-style elementwise kernel.
@@ -18,7 +19,7 @@ fn main() {
 
     // Round-trip through the text form, like the paper's parser does.
     let mut module = ptx::Module::new("sm_61");
-    module.kernels = ptx_codegen::templates::build_all();
+    module.kernels = Arc::clone(ptx_codegen::templates::kernels());
     let text = ptx::printer::module(&module);
     let parsed = ptx::parse_module(&text).expect("parse own output");
     println!(
@@ -34,7 +35,7 @@ fn main() {
         "{:24} {:>7} {:>7} {:>9} {:>10}",
         "kernel", "instrs", "edges", "slice", "fraction"
     );
-    for k in &module.kernels {
+    for k in module.kernels.iter() {
         let g = DepGraph::build(k);
         let slice = branch_slice(k);
         println!(

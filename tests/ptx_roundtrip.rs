@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use ptx::inst::{Address, BodyElem, Instruction, Op, Operand};
 use ptx::kernel::{Kernel, KernelParam, Module};
 use ptx::types::{BinOp, CmpOp, Reg, RegClass, Space, SpecialReg, Type, UnOp};
+use std::sync::Arc;
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     (
@@ -169,7 +170,7 @@ proptest! {
     fn print_parse_roundtrip(instrs in proptest::collection::vec(instruction_strategy(), 0..40)) {
         let kernel = kernel_of(instrs);
         let mut module = Module::new("sm_61");
-        module.kernels.push(kernel);
+        Arc::make_mut(&mut module.kernels).push(kernel);
         let text = ptx::printer::module(&module);
         let parsed = ptx::parse_module(&text).expect("printer output must parse");
         prop_assert_eq!(&parsed.kernels[0].body, &module.kernels[0].body);
@@ -189,7 +190,7 @@ proptest! {
             src: Operand::ImmF(v),
         })]);
         let mut module = Module::new("sm_61");
-        module.kernels.push(kernel);
+        Arc::make_mut(&mut module.kernels).push(kernel);
         let parsed = ptx::parse_module(&ptx::printer::module(&module)).expect("parses");
         match &parsed.kernels[0].body[0] {
             BodyElem::Inst(Instruction { op: Op::Mov { src: Operand::ImmF(got), .. }, .. }) => {
@@ -205,11 +206,11 @@ proptest! {
 #[test]
 fn every_codegen_template_roundtrips() {
     let mut module = Module::new("sm_61");
-    module.kernels = ptx_codegen::templates::build_all();
+    module.kernels = Arc::clone(ptx_codegen::templates::kernels());
     let text = ptx::printer::module(&module);
     let parsed = ptx::parse_module(&text).expect("parses");
     assert_eq!(parsed.kernels.len(), module.kernels.len());
-    for (a, b) in module.kernels.iter().zip(&parsed.kernels) {
+    for (a, b) in module.kernels.iter().zip(parsed.kernels.iter()) {
         assert_eq!(a.body, b.body, "{} body changed", a.name);
         assert_eq!(a.shared_bytes, b.shared_bytes);
     }
