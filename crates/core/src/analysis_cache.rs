@@ -57,6 +57,9 @@ pub const ANALYSIS_CACHE_CAPACITY: usize = 64;
 #[derive(Debug, Clone)]
 pub struct AnalyzedModel {
     pub profile: CnnProfile,
+    /// Seconds spent lowering and counting (`t_dca` of Table IV): wall
+    /// time, so it stays in memory and out of every persisted profile.
+    pub dca_seconds: f64,
     pub plan: LaunchPlan,
     pub counts: PlanCount,
     pub summary: ModelSummary,
@@ -92,10 +95,11 @@ impl AnalyzedModel {
             flops: summary.flops,
             neurons: summary.neurons,
             num_launches: plan.launches.len(),
-            dca_seconds,
+            dca_seconds: 0.0,
         };
         Ok(AnalyzedModel {
             profile,
+            dca_seconds,
             plan,
             counts,
             summary,

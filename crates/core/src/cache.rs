@@ -28,7 +28,9 @@ static CACHE_STORES: obs::LazyCounter = obs::LazyCounter::new("corpus_cache.stor
 
 /// Bump when [`Corpus`] (or the envelope itself) changes shape; readers
 /// treat any other version as corrupt-for-our-purposes and quarantine it.
-pub const CORPUS_CACHE_SCHEMA: u32 = 1;
+/// Schema 2 holds no wall time: its samples lost `profiling_wall_s` and its
+/// profiles' `dca_seconds` is always 0, so one input stores one file.
+pub const CORPUS_CACHE_SCHEMA: u32 = 2;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct CacheEnvelope {

@@ -52,11 +52,11 @@ pub fn rank_devices(
     let predict_wall = t0.elapsed().as_secs_f64();
     let t_pm = predict_wall / devices.len().max(1) as f64;
     ranking.sort_by(|a, b| b.predicted_ipc.total_cmp(&a.predicted_ipc));
-    let t_est = profile.dca_seconds + devices.len() as f64 * t_pm;
+    let t_est = analyzed.dca_seconds + devices.len() as f64 * t_pm;
     Ok(DseOutcome {
         model: profile.name.clone(),
         ranking,
-        t_dca: profile.dca_seconds,
+        t_dca: analyzed.dca_seconds,
         t_pm,
         t_est,
     })

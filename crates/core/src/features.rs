@@ -22,7 +22,10 @@ pub struct CnnProfile {
     pub flops: u64,
     pub neurons: u64,
     pub num_launches: usize,
-    /// Seconds spent in the dynamic code analysis (`t_dca` of Table IV).
+    /// Always `0.0`: the analysis' wall time is
+    /// [`crate::AnalyzedModel::dca_seconds`], so a persisted profile holds
+    /// no wall time. The field goes with benchmark v2, whose harness stops
+    /// building profiles field by field.
     pub dca_seconds: f64,
 }
 

@@ -35,8 +35,9 @@
 //!
 //! Replayed cells are skipped by `build_corpus_robust` (zero recompute —
 //! not even the model analysis reruns if every cell of a model was
-//! journaled), and the resulting corpus is byte-identical to an
-//! uninterrupted build under [`crate::pipeline::Corpus::canonical_json`].
+//! journaled). No record holds wall time, so a resumed build's corpus file
+//! is byte-identical to an uninterrupted build's, and one input journals
+//! the same lines.
 
 use crate::cache::fnv1a;
 use crate::durable;
@@ -67,8 +68,9 @@ static JOURNAL_DEGRADED: obs::LazyCounter = obs::LazyCounter::new("journal.degra
 /// Bump when any journaled record changes shape or meaning; a resumed
 /// build refuses journals written under a different schema. Schema 3 keys
 /// cells by the structural [`crate::model_content_hash`], which replaced a
-/// hash of the graph's JSON.
-pub const JOURNAL_SCHEMA: u32 = 3;
+/// hash of the graph's JSON. Schema 4 records no wall time: a cell's
+/// profile lost `profiling_wall_s` and a model's `dca_seconds` is always 0.
+pub const JOURNAL_SCHEMA: u32 = 4;
 
 /// Records per segment file before rotating to the next one.
 pub const SEGMENT_RECORDS: u32 = 128;
@@ -627,8 +629,8 @@ mod tests {
 
     #[test]
     fn journal_of_the_previous_schema_is_refused() {
-        // its cells are keyed by another model hash, so resuming from it
-        // must not mix them with this schema's cells
+        // its records have another shape, so resuming from it must not mix
+        // them with this schema's cells
         let dir = tmp_dir("old-schema");
         let old = BuildMeta {
             schema: JOURNAL_SCHEMA - 1,

@@ -10,10 +10,10 @@
 //!
 //! - [`PredictorSlot`] — a generation-stamped slot. Readers (`estimate`
 //!   hot path) clone the active predictor's `Arc` under the slot's mutex;
-//!   writers publish a new generation by appending it to the slot's
-//!   history. A reader that loaded mid-swap still holds a valid
-//!   predictor, and superseded generations stay in the history, so
-//!   rollback can walk back to the last good one.
+//!   writers publish a new generation by replacing the active one. A
+//!   reader that loaded mid-swap still holds a valid predictor, and the
+//!   slot keeps the latest superseded distinct predictor, so rollback can
+//!   walk back to the last good one.
 //!   [`PredictorSlot::promote_if`] gives exactly-once promotion: of two
 //!   concurrent swaps racing from the same observed generation, one wins
 //!   and the other gets a typed conflict.
@@ -84,16 +84,23 @@ static COLD_TRAINED: obs::LazyCounter = obs::LazyCounter::new("lifecycle.coldsta
 ///
 /// Readers call [`load`](Self::load) and get the generation number
 /// alongside the predictor, so every served response is attributable to
-/// exactly one generation. The slot keeps every `(generation, predictor)`
-/// it has published, oldest first; the last entry is active. One mutex
-/// guards that history: a reader holds it to clone one `Arc`, and a writer
-/// publishes by pushing one entry, so a reader observes either the old or
-/// the new generation, never a torn state.
+/// exactly one generation. The slot holds the active `(generation,
+/// predictor)` and the latest superseded one whose predictor differs from
+/// it, the one [`rollback`](Self::rollback) returns to; older generations
+/// are dropped. One mutex guards both: a reader holds it to clone one
+/// `Arc`, and a writer publishes by replacing the pair, so a reader
+/// observes either the old or the new generation, never a torn state.
 pub struct PredictorSlot {
     history: Mutex<History>,
 }
 
-type History = Vec<(u64, Option<Arc<PerformancePredictor>>)>;
+/// A slot's generations: the active one and its rollback target.
+struct History {
+    active: (u64, Option<Arc<PerformancePredictor>>),
+    /// The latest superseded generation whose predictor differs from the
+    /// active one.
+    previous: Option<(u64, Arc<PerformancePredictor>)>,
+}
 
 /// A concurrent swap won the race; the caller's observed generation is
 /// stale. Carries the generation that is now active.
@@ -107,34 +114,40 @@ impl PredictorSlot {
     /// a predictor is installed).
     pub fn new() -> Self {
         PredictorSlot {
-            history: Mutex::new(vec![(0, None)]),
+            history: Mutex::new(History {
+                active: (0, None),
+                previous: None,
+            }),
         }
     }
 
     fn history(&self) -> MutexGuard<'_, History> {
-        // entries are pushed whole, so a poisoned lock is safe to keep using
+        // no update can panic between its two assignments, so both
+        // entries stay valid and a poisoned lock is safe to keep using
         self.history.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn active(history: &History) -> &(u64, Option<Arc<PerformancePredictor>>) {
-        history
-            .last()
-            .expect("the history starts at generation 0 and only grows")
     }
 
     /// The active `(generation, predictor)`.
     pub fn load(&self) -> (u64, Option<Arc<PerformancePredictor>>) {
-        Self::active(&self.history()).clone()
+        self.history().active.clone()
     }
 
     /// The active generation number.
     pub fn generation(&self) -> u64 {
-        Self::active(&self.history()).0
+        self.history().active.0
     }
 
     fn publish(history: &mut History, predictor: Arc<PerformancePredictor>) -> u64 {
-        let generation = Self::active(history).0 + 1;
-        history.push((generation, Some(predictor)));
+        let generation = history.active.0 + 1;
+        let (superseded, old) = std::mem::replace(
+            &mut history.active,
+            (generation, Some(Arc::clone(&predictor))),
+        );
+        // the superseded predictor is the rollback target unless it is the
+        // one just published; then the old target still differs from it
+        if let Some(old) = old.filter(|old| !Arc::ptr_eq(old, &predictor)) {
+            history.previous = Some((superseded, old));
+        }
         SLOT_SWAPS.inc();
         generation
     }
@@ -155,7 +168,7 @@ impl PredictorSlot {
         predictor: Arc<PerformancePredictor>,
     ) -> Result<u64, SwapRace> {
         let mut history = self.history();
-        let active = Self::active(&history).0;
+        let active = history.active.0;
         if active != expected {
             PROMOTE_RACES.inc();
             return Err(SwapRace {
@@ -172,11 +185,7 @@ impl PredictorSlot {
     /// earlier distinct predictor exists.
     pub fn rollback(&self) -> Option<(u64, u64)> {
         let mut history = self.history();
-        let active = Self::active(&history).1.as_ref().map(Arc::as_ptr);
-        let (resurrected, predictor) = history.iter().rev().find_map(|(g, p)| {
-            let p = p.as_ref().filter(|p| Some(Arc::as_ptr(p)) != active)?;
-            Some((*g, Arc::clone(p)))
-        })?;
+        let (resurrected, predictor) = history.previous.clone()?;
         Some((Self::publish(&mut history, predictor), resurrected))
     }
 }
@@ -766,6 +775,21 @@ mod tests {
         assert!(Arc::ptr_eq(&active.unwrap(), &good));
         // nothing older and distinct left beyond the root
         assert!(slot.rollback().is_some(), "bad gen 2 is still distinct");
+    }
+
+    #[test]
+    fn slot_drops_generations_rollback_cannot_reach() {
+        let slot = PredictorSlot::new();
+        let first = Arc::new(toy_predictor(1.0));
+        let weak = Arc::downgrade(&first);
+        slot.install(first);
+        slot.install(Arc::new(toy_predictor(2.0)));
+        slot.install(Arc::new(toy_predictor(3.0)));
+        assert!(
+            weak.upgrade().is_none(),
+            "the first predictor must be dropped"
+        );
+        assert_eq!(slot.rollback(), Some((4, 2)));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //!   information are `Degraded`, cells that produce no measurement are
 //!   `Failed` and simply missing from the dataset. `strict` mode restores
 //!   fail-fast semantics under the same measurement protocol.
+//!
+//! A corpus is a pure function of its models, devices and
+//! [`RobustConfig`]: it holds no wall time, so two builds of one input,
+//! or a resumed build and an uninterrupted one, store byte-identical
+//! corpus files.
 
 use crate::analysis_cache::model_content_hash;
 use crate::features::{feature_names, feature_row, CnnProfile, ProfileError};
@@ -56,7 +61,6 @@ pub struct SampleMeta {
     pub ipc: f64,
     pub ipc_clean: f64,
     pub latency_ms: f64,
-    pub profiling_wall_s: f64,
 }
 
 /// The assembled training corpus: the regression dataset plus per-row and
@@ -79,21 +83,11 @@ impl Corpus {
         self.profiles.iter().find(|p| p.name == model)
     }
 
-    /// Canonical JSON of this corpus with the wall-clock measurement
-    /// fields (`SampleMeta::profiling_wall_s`, `CnnProfile::dca_seconds`)
-    /// zeroed. Everything else is deterministic for a given input set and
-    /// fault seed, so a resumed build's canonical JSON is byte-identical
-    /// to an uninterrupted one — the resume-equality guarantee the journal
-    /// tests (and the CI kill-resume job) diff against.
+    /// This corpus as JSON, what `cnnperf corpus --out` writes. It holds
+    /// no wall time, so it is deterministic for a given input set and
+    /// fault seed.
     pub fn canonical_json(&self) -> String {
-        let mut c = self.clone();
-        for s in &mut c.samples {
-            s.profiling_wall_s = 0.0;
-        }
-        for p in &mut c.profiles {
-            p.dca_seconds = 0.0;
-        }
-        serde_json::to_string(&c).unwrap_or_default()
+        serde_json::to_string(self).unwrap_or_default()
     }
 }
 
@@ -226,25 +220,6 @@ impl CorpusReport {
     }
 }
 
-fn cell_of(model: &str, device: &str, rp: &RobustProfile) -> CellReport {
-    let status = if rp.degraded() {
-        CellStatus::Degraded {
-            transient_retries: rp.transient_retries,
-            hangs: rp.hangs,
-            rejected_outliers: rp.rejected_outliers,
-            failed_runs: rp.failed_runs,
-        }
-    } else {
-        CellStatus::Ok
-    };
-    CellReport {
-        model: model.to_string(),
-        device: device.to_string(),
-        status,
-        runs_retained: rp.records.len() as u32,
-    }
-}
-
 /// Optional build infrastructure for [`build_corpus_robust_with`]: the
 /// cell journal (with its replayed state) and the cells' silence limit.
 /// All default to off, in which case the build behaves exactly like the
@@ -281,72 +256,31 @@ impl Default for BuildOptions<'_> {
     }
 }
 
-/// Per-cell result carried from the parallel workers to the serial
-/// assembly. Faults keep both the journaled form (timeout flag + error
-/// string, identical whether computed or replayed — the resume-equality
-/// guarantee extends to the report) and, for freshly computed cells, the
-/// original [`ProfileFault`] for strict-mode aborts.
-enum RowOutcome {
-    Profile(RobustProfile),
-    Fault {
-        timeout: bool,
-        waited_ms: u64,
-        error: String,
-        fault: Option<ProfileFault>,
-    },
-}
+/// One cell as the workers hand it to the assembly: the journal's own
+/// record, plus the fault itself when this build computed it. Strict mode
+/// aborts with that fault; a replayed fault keeps only what the journal
+/// holds, its text and whether it was a timeout.
+type Cell = (CellOutcome, Option<ProfileFault>);
 
-impl RowOutcome {
-    fn from_replayed(outcome: CellOutcome) -> Self {
-        match outcome {
-            CellOutcome::Profile(rp) => RowOutcome::Profile(rp),
-            CellOutcome::Fault {
-                timeout,
-                waited_ms,
-                error,
-            } => RowOutcome::Fault {
-                timeout,
-                waited_ms,
-                error,
-                fault: None,
-            },
-        }
-    }
+/// One model's cells, and its profile unless no cell needs one.
+type ModelCells = (Option<CnnProfile>, Vec<Cell>);
 
-    fn from_computed(result: Result<RobustProfile, ProfileFault>) -> Self {
-        match result {
-            Ok(rp) => RowOutcome::Profile(rp),
-            Err(fault) => {
-                let (timeout, waited_ms) = match &fault {
-                    ProfileFault::Timeout { waited_ms, .. } => (true, *waited_ms),
-                    _ => (false, 0),
-                };
-                RowOutcome::Fault {
-                    timeout,
-                    waited_ms,
-                    error: fault.to_string(),
-                    fault: Some(fault),
-                }
-            }
-        }
-    }
-
-    /// The journaled form of this outcome.
-    fn to_cell_outcome(&self) -> CellOutcome {
-        match self {
-            RowOutcome::Profile(rp) => CellOutcome::Profile(rp.clone()),
-            RowOutcome::Fault {
-                timeout,
-                waited_ms,
-                error,
-                ..
-            } => CellOutcome::Fault {
-                timeout: *timeout,
-                waited_ms: *waited_ms,
-                error: error.clone(),
-            },
-        }
-    }
+/// The [`Cell`] of a computed result.
+fn computed_cell(result: Result<RobustProfile, ProfileFault>) -> Cell {
+    let fault = match result {
+        Ok(rp) => return (CellOutcome::Profile(rp), None),
+        Err(fault) => fault,
+    };
+    let waited_ms = match &fault {
+        ProfileFault::Timeout { waited_ms, .. } => Some(*waited_ms),
+        _ => None,
+    };
+    let outcome = CellOutcome::Fault {
+        timeout: waited_ms.is_some(),
+        waited_ms: waited_ms.unwrap_or(0),
+        error: fault.to_string(),
+    };
+    (outcome, Some(fault))
 }
 
 /// Execute one (model, device) cell: optional chaos, then robust
@@ -433,79 +367,65 @@ pub fn build_corpus_robust_with(
     cfg: &RobustConfig,
     opts: &BuildOptions<'_>,
 ) -> Result<(Corpus, CorpusReport), ProfileError> {
-    type ModelRows = (Option<CnnProfile>, Vec<(Vec<f64>, RowOutcome)>);
     CORPUS_BUILDS.inc();
     let _build_span = CORPUS_BUILD_US.span();
     let injector = FaultInjector::new(cfg.faults.clone());
     let chaos = ChaosInjector::new(opts.chaos.clone());
-    let per_model: Vec<Result<ModelRows, ProfileError>> = models
+    let per_model: Vec<Result<ModelCells, ProfileError>> = models
         .par_iter()
         .map(|m| {
             let hash = model_content_hash(m);
-            let replayed_cell =
-                |dev: &DeviceSpec| opts.replay.and_then(|r| r.cell(hash, &dev.name)).cloned();
-
-            // full-replay fast path: every cell journaled, and the model
-            // analysis either journaled too or not needed (all faults) —
-            // zero recomputation, not even the (cached) analysis
-            let replayed_profile = opts.replay.and_then(|r| r.profiles.get(&hash));
-            if devices.iter().all(|d| {
-                replayed_cell(d).is_some_and(|c| {
-                    replayed_profile.is_some() || matches!(c, CellOutcome::Fault { .. })
-                })
-            }) && !devices.is_empty()
-            {
-                let rows = devices
-                    .iter()
-                    .map(|dev| {
-                        journal::note_replayed();
-                        let outcome = replayed_cell(dev).expect("checked above");
-                        let features = replayed_profile
-                            .map(|p| feature_row(p, dev))
-                            .unwrap_or_default();
-                        (features, RowOutcome::from_replayed(outcome))
+            let replayed = |dev: &DeviceSpec| opts.replay.and_then(|r| r.cell(hash, &dev.name));
+            let journaled = opts.replay.and_then(|r| r.profiles.get(&hash));
+            // the model is analyzed unless the journal holds every cell and
+            // the profile its measured cells need: a fully journaled model
+            // costs not even a (cached) analysis lookup
+            let analyzed = if !devices.is_empty()
+                && devices.iter().all(|d| {
+                    replayed(d).is_some_and(|c| {
+                        journaled.is_some() || matches!(c, CellOutcome::Fault { .. })
                     })
-                    .collect();
-                return Ok((replayed_profile.cloned(), rows));
-            }
-
-            // memoized: rebuilding a corpus (or building after estimate/dse
-            // touched the same models) reuses each model's analysis
-            let analyzed = crate::analysis_cache::profile_model_cached(m)?;
-            let profile = analyzed.profile.clone();
-            if let Some(j) = opts.journal {
-                if replayed_profile.is_none() {
-                    j.append_model(m.name(), hash, &profile)
+                }) {
+                None
+            } else {
+                // memoized: rebuilding a corpus (or building after
+                // estimate/dse touched the same models) reuses the analysis
+                let analyzed = crate::analysis_cache::profile_model_cached(m)?;
+                if let (Some(j), None) = (opts.journal, journaled) {
+                    j.append_model(m.name(), hash, &analyzed.profile)
                         .map_err(|e| ProfileError::Journal(e.to_string()))?;
                 }
-            }
-            let mut rows = Vec::with_capacity(devices.len());
-            for dev in devices {
-                if let Some(outcome) = replayed_cell(dev) {
-                    journal::note_replayed();
-                    rows.push((
-                        feature_row(&profile, dev),
-                        RowOutcome::from_replayed(outcome),
+                Some(analyzed)
+            };
+            let cells = devices
+                .iter()
+                .map(|dev| {
+                    if let Some(outcome) = replayed(dev) {
+                        journal::note_replayed();
+                        return Ok((outcome.clone(), None));
+                    }
+                    let plan = &analyzed
+                        .as_ref()
+                        .expect("an unjournaled cell is analyzed")
+                        .plan;
+                    let cell = computed_cell(run_cell(
+                        plan,
+                        dev,
+                        cfg,
+                        &injector,
+                        &chaos,
+                        opts.cell_timeout,
                     ));
-                    continue;
-                }
-                let result = run_cell(
-                    &analyzed.plan,
-                    dev,
-                    cfg,
-                    &injector,
-                    &chaos,
-                    opts.cell_timeout,
-                );
-                journal::note_computed();
-                let row = RowOutcome::from_computed(result);
-                if let Some(j) = opts.journal {
-                    j.append_cell(m.name(), hash, &dev.name, &row.to_cell_outcome())
-                        .map_err(|e| ProfileError::Journal(e.to_string()))?;
-                }
-                rows.push((feature_row(&profile, dev), row));
-            }
-            Ok((Some(profile), rows))
+                    journal::note_computed();
+                    if let Some(j) = opts.journal {
+                        j.append_cell(m.name(), hash, &dev.name, &cell.0)
+                            .map_err(|e| ProfileError::Journal(e.to_string()))?;
+                    }
+                    Ok(cell)
+                })
+                .collect::<Result<_, ProfileError>>()?;
+            let profile = analyzed.map_or_else(|| journaled.cloned(), |a| Some(a.profile.clone()));
+            Ok((profile, cells))
         })
         .collect();
 
@@ -515,96 +435,103 @@ pub fn build_corpus_robust_with(
     let mut cells = Vec::with_capacity(models.len() * devices.len());
 
     for (model, result) in models.iter().zip(per_model) {
-        match result {
+        let report = |dev: &DeviceSpec, status| CellReport {
+            model: model.name().to_string(),
+            device: dev.name.clone(),
+            status,
+            runs_retained: 0,
+        };
+        let (profile, outcomes) = match result {
+            Ok(rows) => rows,
+            Err(e) if cfg.strict => return Err(e),
             Err(e) => {
-                if cfg.strict {
-                    return Err(e);
-                }
                 let error = e.to_string();
-                for dev in devices {
-                    cells.push(CellReport {
-                        model: model.name().to_string(),
-                        device: dev.name.clone(),
-                        status: CellStatus::Failed {
+                cells.extend(devices.iter().map(|dev| {
+                    report(
+                        dev,
+                        CellStatus::Failed {
                             error: error.clone(),
                         },
-                        runs_retained: 0,
-                    });
-                }
+                    )
+                }));
+                continue;
             }
-            Ok((profile, rows)) => {
-                let model_name = model.name().to_string();
-                for (dev, (features, row)) in devices.iter().zip(rows) {
-                    match row {
-                        RowOutcome::Fault {
-                            timeout,
-                            waited_ms,
-                            error,
-                            fault,
-                        } => {
-                            if cfg.strict {
-                                return Err(ProfileError::Fault(fault.unwrap_or_else(|| {
-                                    if timeout {
-                                        ProfileFault::Timeout {
-                                            model: model_name.clone(),
-                                            device: dev.name.clone(),
-                                            waited_ms,
-                                        }
-                                    } else {
-                                        ProfileFault::Replayed {
-                                            error: error.clone(),
-                                        }
-                                    }
-                                })));
-                            }
-                            let status = if timeout {
-                                CellStatus::TimedOut { waited_ms }
+        };
+        for (dev, (outcome, fault)) in devices.iter().zip(outcomes) {
+            let rp = match outcome {
+                CellOutcome::Profile(rp) => rp,
+                CellOutcome::Fault {
+                    timeout,
+                    waited_ms,
+                    error,
+                } => {
+                    if cfg.strict {
+                        // a computed fault is reported as it happened, a
+                        // replayed one by what the journal kept of it
+                        return Err(ProfileError::Fault(fault.unwrap_or_else(|| {
+                            if timeout {
+                                ProfileFault::Timeout {
+                                    model: model.name().to_string(),
+                                    device: dev.name.clone(),
+                                    waited_ms,
+                                }
                             } else {
-                                CellStatus::Failed { error }
-                            };
-                            cells.push(CellReport {
-                                model: model_name.clone(),
-                                device: dev.name.clone(),
-                                status,
-                                runs_retained: 0,
-                            });
-                        }
-                        RowOutcome::Profile(rp) => {
-                            if cfg.strict && rp.degraded() {
-                                return Err(ProfileError::Fault(ProfileFault::Degraded {
-                                    model: rp.model_name.clone(),
-                                    device: rp.device_name.clone(),
-                                    detail: format!(
-                                        "{} retries, {} hangs, {} outliers rejected, {} dead runs",
-                                        rp.transient_retries,
-                                        rp.hangs,
-                                        rp.rejected_outliers,
-                                        rp.failed_runs
-                                    ),
-                                }));
+                                ProfileFault::Replayed { error }
                             }
-                            cells.push(cell_of(&rp.model_name, &dev.name, &rp));
-                            dataset.push(
-                                Corpus::label(&rp.model_name, &rp.device_name),
-                                features,
-                                rp.ipc,
-                            );
-                            samples.push(SampleMeta {
-                                model: rp.model_name.clone(),
-                                device: rp.device_name.clone(),
-                                ipc: rp.ipc,
-                                ipc_clean: rp.ipc_clean,
-                                latency_ms: rp.latency_ms,
-                                profiling_wall_s: rp.profiling_wall_s,
-                            });
-                        }
+                        })));
                     }
+                    cells.push(report(
+                        dev,
+                        if timeout {
+                            CellStatus::TimedOut { waited_ms }
+                        } else {
+                            CellStatus::Failed { error }
+                        },
+                    ));
+                    continue;
                 }
-                if let Some(profile) = profile {
-                    profiles.push(profile);
-                }
+            };
+            if cfg.strict && rp.degraded() {
+                return Err(ProfileError::Fault(ProfileFault::Degraded {
+                    model: rp.model_name,
+                    device: rp.device_name,
+                    detail: format!(
+                        "{} retries, {} hangs, {} outliers rejected, {} dead runs",
+                        rp.transient_retries, rp.hangs, rp.rejected_outliers, rp.failed_runs
+                    ),
+                }));
             }
+            let status = if rp.degraded() {
+                CellStatus::Degraded {
+                    transient_retries: rp.transient_retries,
+                    hangs: rp.hangs,
+                    rejected_outliers: rp.rejected_outliers,
+                    failed_runs: rp.failed_runs,
+                }
+            } else {
+                CellStatus::Ok
+            };
+            cells.push(CellReport {
+                runs_retained: rp.records.len() as u32,
+                ..report(dev, status)
+            });
+            let profile = profile
+                .as_ref()
+                .expect("a measured cell's model has a profile");
+            dataset.push(
+                Corpus::label(&rp.model_name, &rp.device_name),
+                feature_row(profile, dev),
+                rp.ipc,
+            );
+            samples.push(SampleMeta {
+                model: rp.model_name,
+                device: rp.device_name,
+                ipc: rp.ipc,
+                ipc_clean: rp.ipc_clean,
+                latency_ms: rp.latency_ms,
+            });
         }
+        profiles.extend(profile);
     }
 
     // per-cell attempt accounting for the completed build; the underlying
@@ -702,6 +629,21 @@ mod tests {
         let a = small_corpus();
         let b = small_corpus();
         assert_eq!(a.dataset.y, b.dataset.y);
+    }
+
+    #[test]
+    fn seeded_builds_serialize_identically() {
+        let cfg = RobustConfig {
+            retry: RetryPolicy::no_backoff(),
+            faults: FaultProfile::light().with_seed(3),
+            ..RobustConfig::default()
+        };
+        let build = || {
+            let (corpus, _) =
+                build_corpus_robust(&small_models(), &gpu_sim::training_devices(), &cfg).unwrap();
+            serde_json::to_string(&corpus).unwrap()
+        };
+        assert!(build() == build(), "two seeded builds must serialize alike");
     }
 
     #[test]

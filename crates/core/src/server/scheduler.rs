@@ -80,12 +80,23 @@ static SERVER_DRAIN_FLUSHED: obs::LazyCounter = obs::LazyCounter::new("server.dr
 static SERVER_RETRIES: obs::LazyCounter = obs::LazyCounter::new("server.retries");
 /// Stale-while-revalidate refresh jobs enqueued.
 static SERVER_REVALIDATIONS: obs::LazyCounter = obs::LazyCounter::new("server.revalidations");
+/// `server.shed.<class>`, indexed by [`QosClass::priority`].
+static SERVER_SHED_BY_CLASS: [obs::LazyCounter; 3] = [
+    obs::LazyCounter::new("server.shed.interactive"),
+    obs::LazyCounter::new("server.shed.batch"),
+    obs::LazyCounter::new("server.shed.best-effort"),
+];
+/// `server.qos.<class>.latency_us`: each served waiter's time from
+/// admission to answer, indexed by [`QosClass::priority`].
+static QOS_LATENCY_US: [obs::LazyHistogram; 3] = [
+    obs::LazyHistogram::new("server.qos.interactive.latency_us"),
+    obs::LazyHistogram::new("server.qos.batch.latency_us"),
+    obs::LazyHistogram::new("server.qos.best-effort.latency_us"),
+];
 
 fn shed_count(class: QosClass) {
     SERVER_SHED.inc();
-    obs::global()
-        .counter(&format!("server.shed.{}", class.name()))
-        .inc();
+    SERVER_SHED_BY_CLASS[class.priority()].inc();
 }
 
 type JobKey = (String, String);
@@ -556,9 +567,7 @@ fn worker_loop(shard: Arc<Shard>, cfg: ServerConfig, mut engine: ResilientEngine
             if draining {
                 SERVER_DRAINED.inc();
             }
-            obs::global()
-                .histogram(&format!("server.qos.{}.latency_us", w.class.name()))
-                .record_duration(w.enqueued.elapsed());
+            QOS_LATENCY_US[w.class.priority()].record_duration(w.enqueued.elapsed());
             let _ = w.tx.send(render_result(&w.id, &body));
         }
     }
@@ -615,6 +624,21 @@ mod tests {
                 .collect(),
             elapsed_ms: 0.0,
             generation: None,
+        }
+    }
+
+    #[test]
+    fn per_class_metrics_keep_their_names() {
+        for class in QosClass::ALL {
+            let (c, name) = (class.priority(), class.name());
+            assert_eq!(
+                SERVER_SHED_BY_CLASS[c].name(),
+                format!("server.shed.{name}")
+            );
+            assert_eq!(
+                QOS_LATENCY_US[c].name(),
+                format!("server.qos.{name}.latency_us")
+            );
         }
     }
 

@@ -323,7 +323,6 @@ pub struct RobustProfile {
     /// MAD of the measured runs (spread diagnostic).
     pub ipc_mad: f64,
     pub latency_ms: f64,
-    pub profiling_wall_s: f64,
     /// Retained (post-filter) measurements.
     pub records: Vec<ProfileRecord>,
     pub rejected_outliers: u32,
@@ -371,7 +370,6 @@ pub fn profile_robust_budgeted(
     assert!(policy.max_attempts >= 1);
     PROFILE_CELLS.inc();
     let _cell_span = PROFILE_CELL_US.span();
-    let t0 = std::time::Instant::now();
     let counts = ptx_analysis::count_plan_mode_budgeted(plan, true, budget, CountMode::Auto)?;
     let report: SimReport =
         Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan(plan, &counts, budget)?;
@@ -450,7 +448,6 @@ pub fn profile_robust_budgeted(
         .map(|(r, _)| r)
         .collect();
 
-    let wall = t0.elapsed().as_secs_f64();
     Ok(RobustProfile {
         model_name: plan.model_name.clone(),
         device_name: dev.name.clone(),
@@ -459,7 +456,6 @@ pub fn profile_robust_budgeted(
         ipc_clean: report.ipc,
         ipc_mad: filter.mad,
         latency_ms: report.latency_ms,
-        profiling_wall_s: wall,
         records: retained,
         rejected_outliers,
         transient_retries,
@@ -505,11 +501,6 @@ mod tests {
         assert_ne!(a0.ipc, a1.ipc, "different runs must differ");
         let rel = (a0.ipc - a0.ipc_clean).abs() / a0.ipc_clean;
         assert!(rel < 0.10, "jitter {rel} too large");
-    }
-
-    #[test]
-    fn wall_time_is_recorded() {
-        assert!(fault_free(&plan(), 1).profiling_wall_s > 0.0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() {
         profile.name,
         thousands(analyzed.summary.trainable_params),
         thousands(profile.ptx_instructions),
-        profile.dca_seconds,
+        analyzed.dca_seconds,
     );
 
     // 4. Predict its IPC on any device in the database — including ones the

@@ -84,10 +84,12 @@ stats-smoke:
     grep -q '^served 72/72 ' target/stats-smoke.out
 
 # Kill-resume smoke: SIGKILL a journaled corpus build mid-flight, resume
-# it, and require the resumed canonical corpus to be byte-identical to an
+# it, and require the resumed corpus file to be byte-identical to an
 # uninterrupted build's. `stats-check` gates the journal.* counter
-# invariants on the resumed run's snapshot. Then run the journal
-# suite pinned to one CPU, where the workers journal one after another.
+# invariants on the resumed run's snapshot. Then build the paper corpus
+# cache twice from scratch and require identical files, since a corpus
+# holds no wall time. Last, run the journal suite pinned to one CPU,
+# where the workers journal one after another.
 resume-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -109,9 +111,14 @@ resume-smoke:
     echo "--- clean uninterrupted build ---"
     "$bin" corpus --out "$dir/clean.json"
     cmp "$dir/resumed.json" "$dir/clean.json"
+    echo "--- paper corpus cache built twice ---"
+    for run in a b; do
+        CNNPERF_CORPUS="$dir/paper-$run.json" "$bin" predict alexnet > /dev/null
+    done
+    cmp "$dir/paper-a.json" "$dir/paper-b.json"
     echo "--- journal suite on one CPU (one-worker record order) ---"
     taskset -c 0 cargo test -q --test journal_resume
-    echo "resume-smoke OK: resumed corpus is byte-identical to a clean build"
+    echo "resume-smoke OK: resumed corpus and rebuilt cache are byte-identical"
 
 # Lifecycle smoke: serve with a snapshot store, then replay the crash
 # story of a SIGKILL landing mid-snapshot-write (a torn next-version file

@@ -63,7 +63,7 @@ fn usage() -> ExitCode {
                                          so --resume skips completed work after a\n\
                                          crash, --cell-timeout-ms cancels cells that\n\
                                          make no progress for N ms, --out writes the\n\
-                                         canonical (wall-clock-free) corpus JSON\n\
+                                         corpus JSON\n\
            estimate <models> <devices|--all-devices> [--deadline-ms N] [--tiers t1,t2,..]\n\
                     [--chaos none|k=v,..] [--stats json|prom]\n\
                                          deadline-bounded batch estimation through the\n\
@@ -487,6 +487,7 @@ fn cmd_analyze(a: &Args) -> Exit {
     let model = model_or_exit(a.pos[0]);
     let AnalyzedModel {
         profile,
+        dca_seconds,
         plan,
         counts,
         summary,
@@ -516,7 +517,7 @@ fn cmd_analyze(a: &Args) -> Exit {
         thousands(counts.thread_instructions),
         thousands(counts.warp_issues)
     );
-    println!("  dynamic code analysis time: {:.2}s", profile.dca_seconds);
+    println!("  dynamic code analysis time: {dca_seconds:.2}s");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -668,7 +669,7 @@ fn cmd_corpus(a: &Args) -> Exit {
                     corpus.canonical_json().as_bytes(),
                 ) {
                     Ok(()) => {
-                        eprintln!("canonical corpus written to {path}");
+                        eprintln!("corpus written to {path}");
                         ExitCode::SUCCESS
                     }
                     Err(e) => {

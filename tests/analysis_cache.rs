@@ -28,8 +28,8 @@ fn cached_profile_is_byte_identical_across_devices() {
         AnalyzedModel::compute(&model, DEFAULT_SM_TARGET, &ExecBudget::default()).unwrap();
     let cached = profile_model_cached(&model).unwrap();
 
-    // the analysis payload matches field-for-field (dca_seconds is wall
-    // time and legitimately differs between runs)
+    // the analysis payload matches field-for-field (its wall time,
+    // `AnalyzedModel::dca_seconds`, legitimately differs between runs)
     let (profile, counts) = (&uncached.profile, &uncached.counts);
     assert_eq!(cached.profile.name, profile.name);
     assert_eq!(cached.profile.ptx_instructions, profile.ptx_instructions);

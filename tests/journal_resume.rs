@@ -6,11 +6,11 @@
 //! silence limit passes instead of wedging the build.
 
 use cnnperf_core::{
-    build_corpus_robust_with, BuildMeta, BuildOptions, CellStatus, Journal, JournalRecord, Replay,
-    RobustConfig, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    build_corpus_robust_with, BuildMeta, BuildOptions, CellStatus, Journal, JournalRecord,
+    ProfileError, Replay, RobustConfig, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
 };
-use gpu_sim::{ChaosProfile, DeviceSpec};
-use std::path::PathBuf;
+use gpu_sim::{ChaosProfile, DeviceSpec, FaultProfile, ProfileFault};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -57,40 +57,14 @@ fn decode_record(line: &str) -> JournalRecord {
     serde_json::from_str(json).expect("journal record")
 }
 
-fn build_journaled(
-    dir: &std::path::Path,
-    cfg: &RobustConfig,
-    resume: bool,
-) -> (cnnperf_core::Corpus, Replay) {
-    let (journal, replay) = Journal::open(dir, &meta_for(cfg), resume).expect("journal open");
-    let opts = BuildOptions {
-        journal: Some(&journal),
-        replay: Some(&replay),
-        ..BuildOptions::none()
-    };
-    let (corpus, _report) =
-        build_corpus_robust_with(&mini_models(), &one_device(), cfg, &opts).expect("build");
-    (corpus, replay)
-}
-
-#[test]
-fn resume_after_truncated_journal_matches_clean_build() {
-    let _guard = lock();
-    let cfg = RobustConfig::strict_single_run();
-    let (clean, _) =
-        build_corpus_robust_with(&mini_models(), &one_device(), &cfg, &BuildOptions::none())
-            .expect("clean build");
-
-    // full journaled build, then simulate a SIGKILL mid-build by
-    // truncating the segment to a record prefix (every append is written,
-    // flushed and fsynced, so a killed build leaves exactly such a prefix).
-    // The cut is picked by record kind, not by line count: only a model's
-    // own `Model` record is promised to precede its cells, and records of
-    // different models interleave in the order their workers finish.
-    // Cutting just after the first `Cell` keeps one model fully journaled
-    // and leaves the other model's cell to recompute.
-    let dir = fresh_dir("truncate");
-    let _ = build_journaled(&dir, &cfg, false);
+/// Simulate a SIGKILL mid-build: truncate the journal in `dir` to a record
+/// prefix (every append is written, flushed and fsynced, so a killed build
+/// leaves exactly such a prefix). The cut is picked by record kind, not by
+/// line count: only a model's own `Model` record is promised to precede
+/// its cells, and records of different models interleave in the order
+/// their workers finish. Cutting just after the first `Cell` keeps one
+/// model fully journaled and leaves the other model's cell to recompute.
+fn truncate_after_first_cell(dir: &Path) {
     let seg = dir.join("segment-00000.jsonl");
     let text = std::fs::read_to_string(&seg).expect("segment");
     let lines: Vec<&str> = text.lines().collect();
@@ -108,6 +82,56 @@ fn resume_after_truncated_journal_matches_clean_build() {
     );
     let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
     std::fs::write(&seg, prefix).expect("truncate");
+}
+
+fn build_journaled(
+    dir: &std::path::Path,
+    cfg: &RobustConfig,
+    resume: bool,
+) -> (cnnperf_core::Corpus, Replay) {
+    let (journal, replay) = Journal::open(dir, &meta_for(cfg), resume).expect("journal open");
+    let opts = BuildOptions {
+        journal: Some(&journal),
+        replay: Some(&replay),
+        ..BuildOptions::none()
+    };
+    let (corpus, _report) =
+        build_corpus_robust_with(&mini_models(), &one_device(), cfg, &opts).expect("build");
+    (corpus, replay)
+}
+
+/// The error a strict build of alexnet on one device, journaled at `dir`,
+/// aborts with.
+fn strict_abort(
+    dir: &Path,
+    cfg: &RobustConfig,
+    cell_timeout: Option<Duration>,
+    chaos: ChaosProfile,
+    resume: bool,
+) -> ProfileError {
+    let (journal, replay) = Journal::open(dir, &meta_for(cfg), resume).expect("journal open");
+    let opts = BuildOptions {
+        journal: Some(&journal),
+        replay: Some(&replay),
+        cell_timeout,
+        chaos,
+    };
+    let models = vec![cnn_ir::zoo::build("alexnet").unwrap()];
+    build_corpus_robust_with(&models, &one_device(), cfg, &opts)
+        .expect_err("a strict build with a failing cell aborts")
+}
+
+#[test]
+fn resume_after_truncated_journal_matches_clean_build() {
+    let _guard = lock();
+    let cfg = RobustConfig::strict_single_run();
+    let (clean, _) =
+        build_corpus_robust_with(&mini_models(), &one_device(), &cfg, &BuildOptions::none())
+            .expect("clean build");
+
+    let dir = fresh_dir("truncate");
+    let _ = build_journaled(&dir, &cfg, false);
+    truncate_after_first_cell(&dir);
 
     let before = obs::global().snapshot();
     let (resumed, replay) = build_journaled(&dir, &cfg, true);
@@ -147,7 +171,7 @@ fn fully_journaled_resume_recomputes_nothing() {
     assert_eq!(
         after.counter_delta(&before, "analysis.cache.lookups"),
         0,
-        "the full-replay fast path must skip even the cached analysis"
+        "a fully journaled model must skip even the cached analysis"
     );
     assert_eq!(
         after.counter_delta(&before, "journal.replayed") as usize,
@@ -248,14 +272,106 @@ fn cells_making_progress_outlive_a_shorter_silence_limit() {
         .map(|n| cnn_ir::zoo::build(n).unwrap())
         .collect();
     let cfg = RobustConfig::default();
-    let (corpus, report) =
-        build_corpus_robust_with(&models, &one_device(), &cfg, &opts).expect("build");
+    let before = obs::global().snapshot();
+    let (_, report) = build_corpus_robust_with(&models, &one_device(), &cfg, &opts).expect("build");
+    let after = obs::global().snapshot();
     assert_eq!(report.timed_out_count(), 0, "{}", report.summary());
-    let longest = corpus
-        .samples
-        .iter()
-        .map(|s| Duration::from_secs_f64(s.profiling_wall_s))
-        .max()
-        .expect("two cells");
-    assert!(longest > limit, "no cell outran the {limit:?} limit");
+    // the cells' mean wall time bounds the longer cell's from below
+    let cell_us = |s: &obs::Snapshot| {
+        s.histograms
+            .get("supervise.cell_us")
+            .map_or((0, 0), |h| (h.count, h.sum))
+    };
+    let ((cells_before, us_before), (cells_after, us_after)) = (cell_us(&before), cell_us(&after));
+    assert_eq!(
+        cells_after - cells_before,
+        2,
+        "two cells ran under the limit"
+    );
+    let mean = Duration::from_micros((us_after - us_before) / 2);
+    assert!(mean > limit, "no cell outran the {limit:?} limit");
+}
+
+#[test]
+fn strict_abort_reports_the_computed_fault_then_its_replay() {
+    let _guard = lock();
+    let cfg = RobustConfig {
+        faults: FaultProfile::parse("transient=1").expect("fault spec"),
+        ..RobustConfig::strict_single_run()
+    };
+    let dir = fresh_dir("strict-fault");
+    let err = strict_abort(&dir, &cfg, None, ChaosProfile::none(), false);
+    let ProfileError::Fault(fault @ ProfileFault::NoValidRuns { runs: 1, .. }) = &err else {
+        panic!("expected the computed no-valid-runs fault, got {err}");
+    };
+    let resumed = strict_abort(&dir, &cfg, None, ChaosProfile::none(), true);
+    assert!(
+        matches!(resumed, ProfileError::Fault(ProfileFault::Replayed { .. })),
+        "{resumed}"
+    );
+    assert_eq!(
+        resumed.to_string(),
+        format!("profiling fault: replayed from journal: {fault}")
+    );
+}
+
+#[test]
+fn strict_abort_on_a_hung_cell_is_its_timeout_on_resume_too() {
+    let _guard = lock();
+    let cfg = RobustConfig::strict_single_run();
+    let hang = ChaosProfile::parse("hang=1.0,seed=7").expect("chaos spec");
+    let limit = Some(Duration::from_millis(50));
+    let dir = fresh_dir("strict-hang");
+    let err = strict_abort(&dir, &cfg, limit, hang.clone(), false);
+    assert!(
+        matches!(err, ProfileError::Fault(ProfileFault::Timeout { .. })),
+        "{err}"
+    );
+    let resumed = strict_abort(&dir, &cfg, limit, hang, true);
+    assert_eq!(resumed.to_string(), err.to_string());
+}
+
+#[test]
+fn truncated_resume_stores_the_clean_builds_cache_file() {
+    let _guard = lock();
+    let cfg = RobustConfig::strict_single_run();
+    let (clean, _) =
+        build_corpus_robust_with(&mini_models(), &one_device(), &cfg, &BuildOptions::none())
+            .expect("clean build");
+    let dir = fresh_dir("truncate-store");
+    let _ = build_journaled(&dir, &cfg, false);
+    truncate_after_first_cell(&dir);
+    let (resumed, _) = build_journaled(&dir, &cfg, true);
+
+    let stored = |corpus: &cnnperf_core::Corpus, name: &str| {
+        let path = dir.join(name);
+        cnnperf_core::store_corpus(&path, corpus).expect("store");
+        std::fs::read(&path).expect("stored corpus")
+    };
+    assert!(
+        stored(&resumed, "resumed.json") == stored(&clean, "clean.json"),
+        "a resumed build must store the clean build's cache file byte for byte"
+    );
+}
+
+#[test]
+fn journaled_build_writes_the_same_segment_twice() {
+    let _guard = lock();
+    let cfg = RobustConfig::default();
+    let models = vec![cnn_ir::zoo::build("alexnet").unwrap()];
+    let segment = |tag: &str| {
+        let dir = fresh_dir(tag);
+        let (journal, _) = Journal::open(&dir, &meta_for(&cfg), false).expect("journal open");
+        let opts = BuildOptions {
+            journal: Some(&journal),
+            ..BuildOptions::none()
+        };
+        build_corpus_robust_with(&models, &gpu_sim::training_devices(), &cfg, &opts)
+            .expect("build");
+        std::fs::read(dir.join("segment-00000.jsonl")).expect("segment")
+    };
+    assert!(
+        segment("twice-a") == segment("twice-b"),
+        "two journaled builds of one model must write identical segments"
+    );
 }
